@@ -137,14 +137,16 @@ func benchTuples(n int, rng *rand.Rand) []tuple.Tuple {
 }
 
 // BenchmarkExternalSort measures the run-generation + k-way-merge sort
-// on 10k two-column tuples.
+// on the normalized keys of 10k two-column tuples.
 func BenchmarkExternalSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	ts := benchTuples(10000, rng)
-	cmp := func(x, y tuple.Tuple) int { return tuple.CompareValues(x[0], y[0]) }
+	keys := make([][]byte, 10000)
+	for i, t := range benchTuples(len(keys), rng) {
+		keys[i] = tuple.AppendNormKey(nil, t, []int{0}, nil)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sortx.Sort(ts, cmp, 512)
+		sortx.SortKeyedIdx(keys, 512)
 	}
 }
 

@@ -57,10 +57,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		quality    = flag.Bool("quality", false, "run the estimator-quality sweep instead of the tables")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		md         = flag.Bool("md", false, "render tables as markdown (for EXPERIMENTS.md)")
-		perf       = flag.Bool("perf", false, "profile host-side cost per experiment row instead of printing tables")
-		perfOut    = flag.String("perfout", "BENCH_exec.json", "with -perf: write the JSON report here ('' to skip)")
-		perfBase   = flag.String("perfbase", "", "with -perf: compare against this baseline report and fail on regressions")
-		perfTol    = flag.Float64("perftol", 10, "with -perf -perfbase: ns-per-trial regression tolerance (percent)")
 		catalogOut = flag.String("catalog", "", "run the sample-catalog cold/warm reuse protocol instead of the tables and write the hit/miss report to this file ('-' for stdout)")
 		traceOut   = flag.String("trace", "", "write a JSON-lines stage trace of every trial to this file ('-' for stdout)")
 		calibOut   = flag.String("calib", "", "audit every trial's CI against the full-scan truth and write a calibration report to this file ('-' for stdout)")
@@ -74,9 +70,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *list {
 		for _, e := range bench.AllExperiments() {
 			fmt.Fprintf(out, "%-22s %s\n", e.ID, e.Title)
-		}
-		for _, e := range bench.PerfOnlyExperiments() {
-			fmt.Fprintf(out, "%-22s %s (perf-only, excluded from 'all')\n", e.ID, e.Title)
 		}
 		return nil
 	}
@@ -103,10 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 			exps = append(exps, e)
 		}
-	}
-
-	if *perf {
-		return runPerf(exps, opts, out, *perfOut, *perfBase, *perfTol)
 	}
 
 	if *catalogOut != "" {
@@ -314,47 +303,4 @@ func runCatalog(exps []bench.Experiment, opts bench.RunOptions, out io.Writer, p
 	}
 	fmt.Fprintf(out, "wrote catalog reuse report to %s\n", path)
 	return nil
-}
-
-// runPerf profiles the host-side cost of the selected experiments,
-// optionally writing BENCH_exec.json and diffing it against a committed
-// baseline. Regressions beyond the tolerance are an error so the perf
-// gate can run in CI (same machine as the baseline only — the absolute
-// numbers do not transfer between hosts).
-func runPerf(exps []bench.Experiment, opts bench.RunOptions, out io.Writer, outPath, basePath string, tolPct float64) error {
-	rep, err := bench.PerfProfile(exps, opts)
-	if err != nil {
-		return err
-	}
-	// The sample-catalog warm path gets its own rows: cold (miss) vs
-	// warm (hit) evaluation wall time to the same target precision —
-	// the committed number for the stage-skip speedup.
-	catRows, err := bench.PerfCatalogRows(exps, opts)
-	if err != nil {
-		return err
-	}
-	rep.Rows = append(rep.Rows, catRows...)
-	fmt.Fprint(out, bench.RenderPerf(rep))
-	if outPath != "" {
-		if err := bench.WritePerf(outPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", outPath)
-	}
-	if basePath == "" {
-		return nil
-	}
-	base, err := bench.ReadPerf(basePath)
-	if err != nil {
-		return err
-	}
-	regs := bench.ComparePerf(base, rep, tolPct)
-	if len(regs) == 0 {
-		fmt.Fprintf(out, "no ns-per-trial regressions beyond %.0f%% vs %s\n", tolPct, basePath)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(out, "REGRESSION:", r)
-	}
-	return fmt.Errorf("%d perf regression(s) vs %s", len(regs), basePath)
 }

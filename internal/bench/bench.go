@@ -57,11 +57,6 @@ type Experiment struct {
 	Quota    time.Duration
 	Variants []Variant
 	Setup    Setup
-	// SingleTerm marks experiments whose query is one RA term (a pure
-	// join or intersection): before sub-term parallelism these gained
-	// nothing from Options.Parallelism, so the perf profiler reports a
-	// parallel-speedup column for them.
-	SingleTerm bool
 	// PaperNote documents what the paper reports for this table (used
 	// by the CLI's -compare flag and EXPERIMENTS.md).
 	PaperNote string
@@ -246,48 +241,6 @@ func (e Experiment) Run(opts RunOptions) ([]Row, error) {
 	return rows, nil
 }
 
-// EvalWall runs one seeded trial of variant vi and returns the wall
-// time of the engine evaluation alone — the simulated machine, the
-// relations and the query are built outside the measured region. The
-// perf profiler uses it to report the sub-term parallel speedup of
-// single-term queries, where workload generation would otherwise
-// drown the in-query effect.
-func (e Experiment) EvalWall(vi, trial int, opts RunOptions, workers int) (time.Duration, error) {
-	opts = opts.withDefaults()
-	v := e.Variants[vi]
-	seed := opts.BaseSeed + int64(vi*1_000_003+trial)
-	clk := vclock.NewSim(seed, opts.Jitter)
-	if opts.LoadSigma > 0 {
-		clk.SetLoadSigma(opts.LoadSigma)
-	}
-	st := storage.NewStore(clk, opts.Profile, storage.DefaultBlockSize)
-	rng := rand.New(rand.NewSource(seed))
-	expr, initial, _, err := e.Setup(st, rng)
-	if err != nil {
-		return 0, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
-	}
-	engOpts := core.Options{
-		Quota:                  e.Quota,
-		Mode:                   core.Overrun,
-		Plan:                   v.Plan,
-		Sampling:               v.Sampling,
-		Initial:                initial,
-		Strategy:               v.Strategy(),
-		Seed:                   seed,
-		PrestoredSelectivities: v.Prestored,
-		Parallelism:            workers,
-	}
-	if v.Model != nil {
-		bf := storage.DefaultBlockSize / workload.PaperTupleSize
-		engOpts.Model = v.Model(opts.Profile, bf)
-	}
-	start := time.Now()
-	if _, err := core.NewEngine(st).Count(expr, engOpts); err != nil {
-		return 0, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
-	}
-	return time.Since(start), nil
-}
-
 // Render formats rows as a paper-style text table.
 func Render(title string, rows []Row) string {
 	var b strings.Builder
@@ -361,10 +314,9 @@ func Fig51Selection(outputTuples int) Experiment {
 // 10,000 output tuples (identical relations), 10-second quota.
 func Fig52Intersection() Experiment {
 	return Experiment{
-		ID:         "fig5.2",
-		Title:      "Fig 5.2 — intersection, 10,000 output tuples, quota 10s",
-		Quota:      10 * time.Second,
-		SingleTerm: true,
+		ID:    "fig5.2",
+		Title: "Fig 5.2 — intersection, 10,000 output tuples, quota 10s",
+		Quota: 10 * time.Second,
 		Setup: func(st *storage.Store, rng *rand.Rand) (ra.Expr, timectrl.Initials, int64, error) {
 			if _, _, err := workload.IntersectPair(st, "r1", "r2", workload.PaperTuples, workload.PaperTuples, rng); err != nil {
 				return nil, timectrl.Initials{}, 0, err
@@ -387,10 +339,9 @@ func Fig52Intersection() Experiment {
 // made the first stage too small to measure).
 func Fig53Join() Experiment {
 	return Experiment{
-		ID:         "fig5.3",
-		Title:      "Fig 5.3 — join, 70,000 output tuples, quota 2.5s",
-		Quota:      2500 * time.Millisecond,
-		SingleTerm: true,
+		ID:    "fig5.3",
+		Title: "Fig 5.3 — join, 70,000 output tuples, quota 2.5s",
+		Quota: 2500 * time.Millisecond,
 		Setup: func(st *storage.Store, rng *rand.Rand) (ra.Expr, timectrl.Initials, int64, error) {
 			if _, _, err := workload.JoinPair(st, "r1", "r2", workload.PaperTuples, 70000, rng); err != nil {
 				return nil, timectrl.Initials{}, 0, err
@@ -405,40 +356,6 @@ func Fig53Join() Experiment {
 		PaperNote: "Paper: dβ=0: stages 1.59, risk 41%, ovsp 0.19s, util 71%; dβ=12: stages 1.94, risk 5.3%, " +
 			"ovsp 0.18s, util 91%. For dβ=24,48,72 the time left was not enough for a further full-fulfillment " +
 			"stage, so evaluation terminated (risk 0, ovsp 0).",
-	}
-}
-
-// PerfJoinScale builds the sub-term parallelism scaling benchmark: the
-// Fig. 5.3 pure join scaled to 50,000-tuple relations, a 200-second
-// quota and a calibrated initial selectivity, so every stage sorts and
-// bucket-merges thousands of tuples per side instead of a few hundred.
-// At that size the two per-side sorts and the two cumulative bucket
-// joins clear the runPar fan-out floor and a single-term query can show
-// a real multi-core speedup — the effect the paper-scale figures are
-// too small to exhibit. (On a single-CPU host the ratio degenerates to
-// ~1.0x: the size gate keeps the fan-out from costing wall time, but
-// there is no second core to win any back; the report records the host
-// CPU count next to the ratio.) Perf-only: not a paper table, so not
-// part of AllExperiments.
-func PerfJoinScale() Experiment {
-	return Experiment{
-		ID:         "perf-join-scale",
-		Title:      "Perf — pure join, 50,000-tuple relations, quota 200s (sub-term parallelism scale)",
-		Quota:      200 * time.Second,
-		SingleTerm: true,
-		Setup: func(st *storage.Store, rng *rand.Rand) (ra.Expr, timectrl.Initials, int64, error) {
-			if _, _, err := workload.JoinPair(st, "r1", "r2", 50000, 350000, rng); err != nil {
-				return nil, timectrl.Initials{}, 0, err
-			}
-			e := &ra.Join{Left: &ra.Base{Name: "r1"}, Right: &ra.Base{Name: "r2"},
-				On: []ra.JoinCond{{LeftCol: "a", RightCol: "a"}}}
-			init := timectrl.DefaultInitials()
-			init.Join = 0.001
-			return e, init, 350000, nil
-		},
-		Variants: dBetaVariants([]float64{12}),
-		PaperNote: "No paper table; scaling probe for the sub-term parallel evaluator " +
-			"(single-term queries gained nothing from Options.Parallelism before it).",
 	}
 }
 
@@ -616,16 +533,9 @@ func AllExperiments() []Experiment {
 	}
 }
 
-// PerfOnlyExperiments returns experiments that exist for host-side
-// profiling rather than paper-table regeneration; they are addressable
-// by id (-exp) but excluded from 'all'.
-func PerfOnlyExperiments() []Experiment {
-	return []Experiment{PerfJoinScale()}
-}
-
-// ByID finds an experiment (including perf-only ones) by identifier.
+// ByID finds an experiment by identifier.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range append(AllExperiments(), PerfOnlyExperiments()...) {
+	for _, e := range AllExperiments() {
 		if e.ID == id {
 			return e, true
 		}

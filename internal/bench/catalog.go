@@ -5,13 +5,11 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"tcq/internal/catalog"
 	"tcq/internal/core"
 	"tcq/internal/stats"
 	"tcq/internal/storage"
-	"tcq/internal/timectrl"
 	"tcq/internal/vclock"
 	"tcq/internal/workload"
 )
@@ -71,7 +69,7 @@ func (e Experiment) RunCatalog(opts RunOptions) ([]CatalogRow, error) {
 					<-sem
 					wg.Done()
 				}()
-				cold, warm, truth, cs, err := e.catalogTrial(vi, trial, opts, nil)
+				cold, warm, truth, cs, err := e.catalogTrial(vi, trial, opts)
 				outs[trial] = trialOut{cold: cold, warm: warm, truth: truth, cstats: cs, err: err}
 			}(trial)
 		}
@@ -116,16 +114,6 @@ func (e Experiment) RunCatalog(opts RunOptions) ([]CatalogRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// catalogTrial runs one seeded cold/warm pair: fresh machine, fresh
-// per-trial catalog with uniform sample sets for every relation, one
-// cold run (miss; records the shape hint) and one warm rerun (hit) on
-// the same store. An optional stop criterion applies to both runs (the
-// perf profiler passes an error target so both runs chase the same
-// precision).
-func (e Experiment) catalogTrial(vi, trial int, opts RunOptions, stop timectrl.Criterion) (cold, warm *core.Result, truth int64, cs catalog.Stats, err error) {
-	return e.catalogTimedTrial(vi, trial, opts, stop, nil, nil)
 }
 
 // skippedStages counts the discovery stages the warm run saved: the
@@ -177,29 +165,11 @@ func RenderCatalog(title string, rows []CatalogRow) string {
 	return b.String()
 }
 
-// perfCatalogTarget is the precision both perf runs chase: the catalog
-// speedup metric is time-to-target (how interactive AQP is actually
-// used), so cold and warm runs stop at the same ±10% relative CI
-// half-width and the warm run's advantage is reaching it in fewer
-// stages.
-const perfCatalogTarget = 0.10
-
-// CatalogEvalWall times one seeded cold/warm pair of variant vi and
-// returns the wall time of each engine evaluation alone — machine,
-// relations, query and catalog are built outside the measured region
-// (the cold run is measured first and, as a side effect, plants the
-// hint the measured warm run hits on). Both runs stop at
-// perfCatalogTarget relative CI half-width.
-func (e Experiment) CatalogEvalWall(vi, trial int, opts RunOptions, workers int) (cold, warm time.Duration, err error) {
-	opts = opts.withDefaults()
-	opts.EngineParallel = workers
-	stop := timectrl.ErrorTarget{RelHalfWidth: perfCatalogTarget, Level: 0.95}
-	_, _, _, _, err = e.catalogTimedTrial(vi, trial, opts, stop, &cold, &warm)
-	return cold, warm, err
-}
-
-// catalogTimedTrial is catalogTrial with per-run wall timing.
-func (e Experiment) catalogTimedTrial(vi, trial int, opts RunOptions, stop timectrl.Criterion, coldWall, warmWall *time.Duration) (cold, warm *core.Result, truth int64, cs catalog.Stats, err error) {
+// catalogTrial runs one seeded cold/warm pair: fresh machine, fresh
+// per-trial catalog with uniform sample sets for every relation, one
+// cold run (miss; records the shape hint) and one warm rerun (hit) on
+// the same store.
+func (e Experiment) catalogTrial(vi, trial int, opts RunOptions) (cold, warm *core.Result, truth int64, cs catalog.Stats, err error) {
 	v := e.Variants[vi]
 	seed := opts.BaseSeed + int64(vi*1_000_003+trial)
 	clk := vclock.NewSim(seed, opts.Jitter)
@@ -224,7 +194,6 @@ func (e Experiment) catalogTimedTrial(vi, trial int, opts RunOptions, stop timec
 			Sampling:               v.Sampling,
 			Initial:                initial,
 			Strategy:               v.Strategy(),
-			Stop:                   stop,
 			Seed:                   seed,
 			PrestoredSelectivities: v.Prestored,
 			Parallelism:            opts.EngineParallel,
@@ -237,74 +206,11 @@ func (e Experiment) catalogTimedTrial(vi, trial int, opts RunOptions, stop timec
 		}
 		return core.NewEngine(st).Count(expr, engOpts)
 	}
-	t0 := time.Now()
 	if cold, err = run(); err != nil {
 		return nil, nil, 0, cs, fmt.Errorf("bench %s/%s trial %d (cold): %w", e.ID, v.Label, trial, err)
 	}
-	t1 := time.Now()
 	if warm, err = run(); err != nil {
 		return nil, nil, 0, cs, fmt.Errorf("bench %s/%s trial %d (warm): %w", e.ID, v.Label, trial, err)
 	}
-	t2 := time.Now()
-	if coldWall != nil {
-		*coldWall = t1.Sub(t0)
-	}
-	if warmWall != nil {
-		*warmWall = t2.Sub(t1)
-	}
 	return cold, warm, truth, cat.Stats(), nil
-}
-
-// PerfCatalogRows profiles the sample-catalog warm path: for each
-// experiment's d_β=12 variant it times cold (catalog-miss) and warm
-// (catalog-hit) evaluations to the same target precision and reports
-// one ns/trial row for each, best of perfRepeats sweeps — the
-// stage-skip speedup as a committed number. metrics track the trace
-// registry convention of PerfProfile (trial count in Trials).
-func PerfCatalogRows(exps []Experiment, opts RunOptions) ([]PerfRow, error) {
-	opts = opts.withDefaults()
-	var rows []PerfRow
-	for _, e := range exps {
-		vi := catalogPerfVariant(e)
-		if vi < 0 {
-			continue
-		}
-		best := [2]time.Duration{}
-		for attempt := 0; attempt < perfRepeats; attempt++ {
-			var coldTotal, warmTotal time.Duration
-			for trial := 0; trial < opts.Trials; trial++ {
-				c, w, err := e.CatalogEvalWall(vi, trial, opts, 1)
-				if err != nil {
-					return nil, err
-				}
-				coldTotal += c
-				warmTotal += w
-			}
-			if attempt == 0 || coldTotal < best[0] {
-				best[0] = coldTotal
-			}
-			if attempt == 0 || warmTotal < best[1] {
-				best[1] = warmTotal
-			}
-		}
-		label := e.Variants[vi].Label
-		rows = append(rows,
-			PerfRow{Exp: e.ID, Label: label + " cold-eval", Trials: opts.Trials,
-				NsPerTrial: best[0].Nanoseconds() / int64(opts.Trials)},
-			PerfRow{Exp: e.ID, Label: label + " warm-eval", Trials: opts.Trials,
-				NsPerTrial: best[1].Nanoseconds() / int64(opts.Trials)},
-		)
-	}
-	return rows, nil
-}
-
-// catalogPerfVariant picks the variant the warm-path perf rows profile:
-// the paper's operating point d_β=12 when present.
-func catalogPerfVariant(e Experiment) int {
-	for i, v := range e.Variants {
-		if v.Label == "dβ=12" {
-			return i
-		}
-	}
-	return -1
 }

@@ -10,12 +10,11 @@ import (
 	"tcq/internal/vclock"
 )
 
-// rowBackedTwin copies every relation of src into a fresh store as
-// row blocks (plain Append never selects columnar storage), so every
-// executor takes its scalar tuple-at-a-time path — the batch paths key
-// off Relation.Columnar(). Loading charges no clock, so the twin's
-// simulated machine starts in exactly the same state.
-func rowBackedTwin(t *testing.T, src *storage.Store) *storage.Store {
+// rowLoadedTwin copies every relation of src into a fresh store row by
+// row through Append (src was bulk-loaded through AppendBatch): two load
+// APIs, one columnar representation. Loading charges no clock, so the
+// twin's simulated machine starts in exactly the same state.
+func rowLoadedTwin(t *testing.T, src *storage.Store) *storage.Store {
 	t.Helper()
 	clk := vclock.NewSim(7, 0.02)
 	st := storage.NewStore(clk, storage.SunProfile(), storage.DefaultBlockSize)
@@ -31,31 +30,27 @@ func rowBackedTwin(t *testing.T, src *storage.Store) *storage.Store {
 		if err := twin.AppendAll(rel.AllTuples()); err != nil {
 			t.Fatal(err)
 		}
-		if twin.Columnar() {
-			t.Fatalf("twin relation %s is columnar; row twin must not be", name)
-		}
 	}
 	return st
 }
 
-// TestBatchRowEquivalenceQuick is the batch-transparency property: for
-// random RA expressions, evaluation over columnar relations (the
-// batch-at-a-time hot path) and over row-backed twins of the same data
-// (the scalar reference path) produce identical estimates, stage
-// counts, overspend accounting, and stage traces — at 1, 2 and 8
-// workers. This pins the tentpole contract that batching is purely a
-// host-side representation change: every simulated charge, poll and
-// comparison count is reproduced exactly.
+// TestBatchRowEquivalenceQuick is the load-transparency property: for
+// random RA expressions, evaluation over AppendBatch-loaded relations
+// and over Append-loaded twins of the same data produce identical
+// estimates, stage counts, overspend accounting, and stage traces — at
+// 1, 2 and 8 workers. How a relation was loaded must be invisible:
+// every simulated charge, poll and comparison count is reproduced
+// exactly.
 func TestBatchRowEquivalenceQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test builds fresh stores per run")
 	}
 	property := func(c exprCase) bool {
-		want := runCase(t, c, 1) // columnar, serial: the batched hot path
+		want := runCase(t, c, 1) // bulk-loaded, serial
 		for _, workers := range []int{1, 2, 8} {
-			rows := rowBackedTwin(t, buildCaseStore(t))
+			rows := rowLoadedTwin(t, buildCaseStore(t))
 			if got := fingerprintOn(t, rows, c, workers, Overrun, 8*time.Second); got != want {
-				t.Logf("expr %s seed %d workers %d (row-backed):\ncolumnar: %s\n    rows: %s",
+				t.Logf("expr %s seed %d workers %d (Append-loaded):\n  bulk: %s\n  rows: %s",
 					c.Expr, c.Seed, workers, want, got)
 				return false
 			}

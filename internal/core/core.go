@@ -460,7 +460,7 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 			roots = append(roots, exec.Snapshot(te.Root))
 		}
 		maxFraction, covered := 1.0, 1.0
-		for name, s := range samplers {
+		for _, s := range samplers {
 			remFrac := float64(s.Remaining()) / float64(s.DTotal)
 			if remFrac < maxFraction {
 				maxFraction = remFrac
@@ -469,7 +469,6 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 			if cumFrac < covered {
 				covered = cumFrac
 			}
-			_ = name
 		}
 		if maxFraction <= 0 {
 			res.StopReason = "sample exhausted (census reached)"
@@ -541,7 +540,7 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 				}
 				return nil, err
 			}
-			if err := s.SetStageTuples(len(s.Stages)-1, stageTupleCount(f)); err != nil {
+			if err := s.SetStageTuples(len(s.Stages)-1, f.StageLen(f.Stages()-1)); err != nil {
 				return nil, err
 			}
 		}
@@ -714,11 +713,6 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 	res.Utilization = float64(res.Successful) / float64(opts.Quota)
 	if w := opts.Quota - res.Successful; w > 0 {
 		res.Wasted = w
-	}
-	if res.Overspent && res.Overspend == 0 && opts.Mode == HardDeadline {
-		// Hard mode can't measure the counterfactual completion time;
-		// the overspend is the wasted in-quota time of the aborted stage.
-		res.Overspend = 0
 	}
 	if tracing {
 		tracer.EndQuery(trace.QueryEnd{
@@ -998,11 +992,6 @@ func BuildHistograms(st *storage.Store, buckets int) (*histogram.Catalog, error)
 		}
 	}
 	return cat, nil
-}
-
-// stageTupleCount returns the tuples loaded in a feed's latest stage.
-func stageTupleCount(f *exec.Feed) int {
-	return f.StageLen(f.Stages() - 1)
 }
 
 // setMinFraction pushes the engine-computed minimum stage fraction into

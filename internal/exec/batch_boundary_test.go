@@ -11,10 +11,10 @@ import (
 )
 
 // buildBoundaryStore creates relations r and s with exactly n tuples
-// each, either columnar (the batch hot path) or row-backed (the scalar
-// reference path). s overlaps r on half its ids so joins and
-// intersections produce output at every size.
-func buildBoundaryStore(t *testing.T, n int, columnar bool) (*storage.Store, *vclock.Sim) {
+// each, loaded either in bulk (AppendBatch) or row by row (Append) — two
+// load APIs over the one columnar representation. s overlaps r on half
+// its ids so joins and intersections produce output at every size.
+func buildBoundaryStore(t *testing.T, n int, bulk bool) (*storage.Store, *vclock.Sim) {
 	t.Helper()
 	clk := vclock.NewSim(3, 0.01)
 	st := storage.NewStore(clk, storage.SunProfile(), storage.DefaultBlockSize)
@@ -39,7 +39,7 @@ func buildBoundaryStore(t *testing.T, n int, columnar bool) (*storage.Store, *vc
 			t.Fatal(err)
 		}
 		ts := rows(rel.base)
-		if columnar {
+		if bulk {
 			b := tuple.NewBatch(sch)
 			for _, tp := range ts {
 				if err := b.AppendRow(tp); err != nil {
@@ -49,16 +49,8 @@ func buildBoundaryStore(t *testing.T, n int, columnar bool) (*storage.Store, *vc
 			if err := r.AppendBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			if !r.Columnar() {
-				t.Fatalf("relation %s (n=%d) not columnar", rel.name, n)
-			}
-		} else {
-			if err := r.AppendAll(ts); err != nil {
-				t.Fatal(err)
-			}
-			if r.Columnar() {
-				t.Fatalf("relation %s (n=%d) unexpectedly columnar", rel.name, n)
-			}
+		} else if err := r.AppendAll(ts); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return st, clk
@@ -96,13 +88,14 @@ func boundaryFingerprint(t *testing.T, st *storage.Store, clk *vclock.Sim, e ra.
 		est.Value, est.Variance, clk.Now(), env.DeadlinePolls, env.Comparisons, st.Counters())
 }
 
-// TestBatchBoundaryEquivalence pins the batch paths at the boundary
-// sizes — empty relations (empty batches), a single tuple, exactly one
-// block, one block plus one tuple, and several blocks with a remainder
-// — by checking that columnar evaluation reproduces the row-backed
-// evaluation bit-for-bit (estimate, clock, polls, comparisons, I/O
-// counters) for select, project, join and intersect, serially and with
-// a worker pool, including a split whose second stage is empty.
+// TestBatchBoundaryEquivalence pins the operators at the boundary sizes
+// — empty relations (empty batches), a single tuple, exactly one block,
+// one block plus one tuple, and several blocks with a remainder — by
+// checking that evaluation over AppendBatch-loaded relations reproduces
+// evaluation over Append-loaded ones bit-for-bit (estimate, clock,
+// polls, comparisons, I/O counters) for select, project, join and
+// intersect, serially and with a worker pool, including a split whose
+// second stage is empty.
 func TestBatchBoundaryEquivalence(t *testing.T) {
 	probe, _ := buildBoundaryStore(t, 1, true)
 	rel, err := probe.Relation("r")
@@ -152,7 +145,7 @@ func TestBatchBoundaryEquivalence(t *testing.T) {
 					colSt, colClk := buildBoundaryStore(t, n, true)
 					got := boundaryFingerprint(t, colSt, colClk, e, workers, split)
 					if got != want {
-						t.Errorf("n=%d %s %s workers=%d:\n rows: %s\nbatch: %s",
+						t.Errorf("n=%d %s %s workers=%d:\nAppend-loaded: %s\n  bulk-loaded: %s",
 							n, ename, sname, workers, want, got)
 					}
 				}

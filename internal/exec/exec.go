@@ -360,7 +360,8 @@ type Stats struct {
 }
 
 // Node is one operator of a term's executor tree. Advance evaluates one
-// more stage, returning the node's NEW output tuples for that stage.
+// more stage, returning the node's NEW output tuples for that stage as
+// a read-only columnar batch.
 type Node interface {
 	// ID returns the node's unique id within its Env.
 	ID() int
@@ -372,7 +373,7 @@ type Node interface {
 	Schema() *tuple.Schema
 	// Advance evaluates stage (0-based) and returns the new outputs.
 	// Stages must be advanced in order, exactly once each.
-	Advance(stage int) ([]tuple.Tuple, error)
+	Advance(stage int) (*tuple.Batch, error)
 	// Stats returns cumulative selectivity bookkeeping.
 	Stats() Stats
 	// CumOutTuples returns the cumulative number of output tuples.
@@ -394,26 +395,9 @@ type Feed struct {
 	env       *Env
 	nodeID    int // pseudo-node id for read-step timings
 	srs       bool
-	stages    []stageSample
+	stages    []*tuple.Batch
 	cumTuples int64
 	cumBlocks int
-}
-
-// stageSample is one stage's sample in both physical shapes: rows for
-// the tuple-at-a-time operators, and — when the relation is columnar —
-// the batch the rows were materialized from, which batch-aware
-// operators (select scan, project, merge-run key building) consume
-// directly. Both views hold the same tuples in the same order.
-type stageSample struct {
-	rows  []tuple.Tuple
-	batch *tuple.Batch
-}
-
-func (s *stageSample) len() int {
-	if s.batch != nil {
-		return s.batch.Len()
-	}
-	return len(s.rows)
 }
 
 // NewFeed creates the sample feed for one base relation.
@@ -431,101 +415,45 @@ func (f *Feed) SRS() bool { return f.srs }
 
 // LoadStage reads the given sample as the feed's next stage: block
 // indices under cluster sampling, tuple indices under SRS (each tuple
-// read charges one block read — random tuples live in random blocks).
-// It charges reads and records the read-step timing. On deadline expiry
-// it returns ErrAborted (wrapped); the partially read stage is
-// discarded.
+// read charges one full block read — random tuples live in random
+// blocks). It charges reads and records the read-step timing, whose
+// units are the reads performed. On deadline expiry it returns
+// ErrAborted (wrapped); the partially read stage is discarded.
 func (f *Feed) LoadStage(indices []int) error {
-	if f.srs {
-		return f.loadStageSRS(indices)
-	}
-	return f.loadStageCluster(indices)
-}
-
-func (f *Feed) loadStageCluster(blocks []int) error {
-	f.env.chargeInit(f.nodeID, OpBase)
-	clock := f.env.Clock()
-	t0 := clock.Now()
-	var ss stageSample
-	if f.Rel.Columnar() {
-		// Columnar relations hand out block views; the stage batch is
-		// one bulk copy per block instead of one tuple materialization
-		// per tuple. Read charges and deadline semantics are identical
-		// to ReadBlockIn. Rows are materialized once, here, because
-		// several term executors share the feed concurrently.
-		b := tuple.NewBatch(f.Rel.Schema())
-		for _, bi := range blocks {
-			blk, err := f.Rel.ReadBlockBatchIn(f.env.Store, bi, f.env.deadline)
-			if err != nil {
-				return err
-			}
-			if err := b.AppendBatch(blk); err != nil {
-				return err
-			}
-		}
-		ss = stageSample{rows: b.Rows(), batch: b}
-	} else {
-		var ts []tuple.Tuple
-		for _, b := range blocks {
-			blk, err := f.Rel.ReadBlockIn(f.env.Store, b, f.env.deadline)
-			if err != nil {
-				return err
-			}
-			ts = append(ts, blk...)
-		}
-		ss = stageSample{rows: ts}
-	}
-	f.env.record(f.nodeID, OpBase, StepRead, float64(len(blocks)), clock.Now()-t0)
-	f.stages = append(f.stages, ss)
-	f.cumTuples += int64(ss.len())
-	f.cumBlocks += len(blocks)
-	return nil
-}
-
-// loadStageSRS reads individual tuples by global index, charging a full
-// block read per tuple.
-func (f *Feed) loadStageSRS(tupleIdx []int) error {
 	f.env.chargeInit(f.nodeID, OpBase)
 	clock := f.env.Clock()
 	t0 := clock.Now()
 	bf := f.Rel.BlockingFactor()
-	var ts []tuple.Tuple
-	for _, ti := range tupleIdx {
-		blk, err := f.Rel.ReadBlockIn(f.env.Store, ti/bf, f.env.deadline)
+	per := bf
+	if f.srs {
+		per = 1
+	}
+	stage := tuple.NewBatchCap(f.Rel.Schema(), len(indices)*per)
+	for _, i := range indices {
+		bi := i
+		if f.srs {
+			bi = i / bf
+		}
+		blk, err := f.Rel.ReadBlockBatchIn(f.env.Store, bi, f.env.deadline)
 		if err != nil {
 			return err
 		}
-		off := ti % bf
-		if off >= len(blk) {
-			return fmt.Errorf("exec: tuple index %d out of range in %s", ti, f.Rel.Name())
+		if f.srs {
+			off := i % bf
+			if off >= blk.Len() {
+				return fmt.Errorf("exec: tuple index %d out of range in %s", i, f.Rel.Name())
+			}
+			blk = blk.Slice(off, off+1)
 		}
-		ts = append(ts, blk[off])
+		if err := stage.AppendBatch(blk); err != nil {
+			return err
+		}
 	}
-	// Each random tuple costs one block read; the read-step units are
-	// the tuples fetched so the cost model fits seconds-per-tuple.
-	f.env.record(f.nodeID, OpBase, StepRead, float64(len(tupleIdx)), clock.Now()-t0)
-	f.stages = append(f.stages, stageSample{rows: ts})
-	f.cumTuples += int64(len(ts))
-	f.cumBlocks += len(tupleIdx) // blocks touched (no caching assumed)
+	f.env.record(f.nodeID, OpBase, StepRead, float64(len(indices)), clock.Now()-t0)
+	f.stages = append(f.stages, stage)
+	f.cumTuples += int64(stage.Len())
+	f.cumBlocks += len(indices) // under SRS: blocks touched (no caching assumed)
 	return nil
-}
-
-// StageTuples returns the tuples loaded for a stage.
-func (f *Feed) StageTuples(stage int) ([]tuple.Tuple, error) {
-	if stage < 0 || stage >= len(f.stages) {
-		return nil, fmt.Errorf("exec: feed %s has no stage %d", f.Rel.Name(), stage)
-	}
-	return f.stages[stage].rows, nil
-}
-
-// StageBatch returns the columnar view of a loaded stage, or nil when
-// the feed's relation is row-backed (or stage is out of range). When
-// non-nil, it holds the same tuples as StageTuples in the same order.
-func (f *Feed) StageBatch(stage int) *tuple.Batch {
-	if stage < 0 || stage >= len(f.stages) {
-		return nil
-	}
-	return f.stages[stage].batch
 }
 
 // StageLen returns the number of tuples loaded for a stage (0 when out
@@ -534,7 +462,7 @@ func (f *Feed) StageLen(stage int) int {
 	if stage < 0 || stage >= len(f.stages) {
 		return 0
 	}
-	return f.stages[stage].len()
+	return f.stages[stage].Len()
 }
 
 // Stages returns how many stages have been loaded.
@@ -666,14 +594,14 @@ func (n *baseNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
 // point space).
 func (n *baseNode) Feed() *Feed { return n.feed }
 
-func (n *baseNode) Advance(stage int) ([]tuple.Tuple, error) {
-	ts, err := n.feed.StageTuples(stage)
-	if err != nil {
-		return nil, err
+func (n *baseNode) Advance(stage int) (*tuple.Batch, error) {
+	if stage < 0 || stage >= len(n.feed.stages) {
+		return nil, fmt.Errorf("exec: feed %s has no stage %d", n.feed.Rel.Name(), stage)
 	}
-	n.stats.CumPoints += float64(len(ts))
-	n.stats.CumOut += float64(len(ts))
-	return ts, nil
+	in := n.feed.stages[stage]
+	n.stats.CumPoints += float64(in.Len())
+	n.stats.CumOut += float64(in.Len())
+	return in, nil
 }
 
 // BaseFeedOf returns the Feed when n is a base node.
@@ -685,25 +613,15 @@ func BaseFeedOf(n Node) (*Feed, bool) {
 	return b.feed, true
 }
 
-// stageBatchOf returns the columnar stage sample behind n when it is a
-// base node over a columnar feed, nil otherwise (derived inputs and
-// row-backed relations stay on the tuple path).
-func stageBatchOf(n Node, stage int) *tuple.Batch {
-	if b, ok := n.(*baseNode); ok {
-		return b.feed.StageBatch(stage)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Select node (Fig. 4.3)
 
 type selectNode struct {
 	id       int
 	child    Node
-	pred     ra.CompiledPred
-	bpred    ra.BatchPred // vectorized twin of pred; nil = scalar only
-	bits     []bool       // reusable batch-predicate output buffer
+	pred     ra.BatchPred
+	bits     []bool  // reusable predicate output buffer
+	sel      []int32 // reusable kept-row index buffer
 	predSize int
 	src      ra.Expr
 	env      *Env
@@ -712,7 +630,7 @@ type selectNode struct {
 }
 
 func newSelectNode(env *Env, child Node, pred ra.Pred, src ra.Expr) (Node, error) {
-	compiled, err := ra.Compile(pred, child.Schema())
+	compiled, err := ra.CompileBatch(pred, child.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -720,18 +638,10 @@ func newSelectNode(env *Env, child Node, pred ra.Pred, src ra.Expr) (Node, error
 	if size < 1 {
 		size = 1
 	}
-	// The batch compiler covers every predicate the scalar compiler
-	// does; a nil bpred (future predicate forms) just means the scan
-	// stays scalar.
-	bpred, err := ra.CompileBatch(pred, child.Schema())
-	if err != nil {
-		bpred = nil
-	}
 	return &selectNode{
 		id:       env.newID(),
 		child:    child,
 		pred:     compiled,
-		bpred:    bpred,
 		predSize: size,
 		src:      src,
 		env:      env,
@@ -746,16 +656,7 @@ func (n *selectNode) Schema() *tuple.Schema { return n.child.Schema() }
 func (n *selectNode) Stats() Stats          { return n.stats }
 func (n *selectNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
 
-func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
-	// The vectorized scan applies when the input is a columnar base
-	// stage and the deadline is unarmed (batched polls cannot reproduce
-	// a mid-scan abort; hard-deadline queries keep the scalar loop).
-	var bb *tuple.Batch
-	if n.bpred != nil && !n.env.armedDeadline().Armed() {
-		if base, ok := n.child.(*baseNode); ok {
-			bb = base.feed.StageBatch(stage)
-		}
-	}
+func (n *selectNode) Advance(stage int) (*tuple.Batch, error) {
 	in, err := n.child.Advance(stage)
 	if err != nil {
 		return nil, err
@@ -764,58 +665,42 @@ func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
 	clock := n.env.Clock()
 	costs := n.env.Store.Costs()
 
-	// Scan + check each input tuple (cost c1·n of eq. 4.1). Pre-size
-	// the output from the cumulative selectivity observed so far.
+	// Scan + check each input tuple (cost c1·n of eq. 4.1): the
+	// predicate runs over the column slices, then the per-tuple
+	// poll+charge accounting runs as one sequence (pollChargeRun), which
+	// an armed deadline aborts at the tuple a tuple-at-a-time scan would
+	// have stopped at.
 	t0 := clock.Now()
-	hint := len(in)
-	if n.stats.CumPoints > 0 {
-		hint = int(float64(len(in))*n.stats.CumOut/n.stats.CumPoints) + 16
-		if hint > len(in) {
-			hint = len(in)
+	if cap(n.bits) < in.Len() {
+		n.bits = make([]bool, in.Len())
+	}
+	bits := n.bits[:in.Len()]
+	n.pred(in, bits)
+	if err := n.env.pollChargeRun(in.Len(), time.Duration(n.predSize)*costs.TupleCheck); err != nil {
+		return nil, err
+	}
+	n.sel = n.sel[:0]
+	for i, keep := range bits {
+		if keep {
+			n.sel = append(n.sel, int32(i))
 		}
 	}
-	out := make([]tuple.Tuple, 0, hint)
-	if bb != nil {
-		// Predicate over column slices, then the per-tuple poll+charge
-		// accounting batched into one run (unarmed polls never fail and
-		// read no clock, so the collapsed form is observationally
-		// identical to the scalar loop).
-		if cap(n.bits) < bb.Len() {
-			n.bits = make([]bool, bb.Len())
-		}
-		bits := n.bits[:bb.Len()]
-		n.bpred(bb, bits)
-		if err := n.env.pollChargeRun(bb.Len(), time.Duration(n.predSize)*costs.TupleCheck); err != nil {
-			return nil, err
-		}
-		for i, keep := range bits {
-			if keep {
-				out = append(out, in[i])
-			}
-		}
-	} else {
-		for _, t := range in {
-			if err := n.env.checkDeadline(); err != nil {
-				return nil, err
-			}
-			clock.Charge(time.Duration(n.predSize) * costs.TupleCheck)
-			if n.pred(t) {
-				out = append(out, t)
-			}
-		}
+	out := in
+	if len(n.sel) < in.Len() {
+		out = in.Gather(n.sel)
 	}
-	n.env.record(n.id, OpSelect, StepScan, float64(len(in)), clock.Now()-t0)
+	n.env.record(n.id, OpSelect, StepScan, float64(in.Len()), clock.Now()-t0)
 
 	// Write output pages (cost C1·p of eq. 4.1).
 	t0 = clock.Now()
-	if err := n.env.writeRun(n.out, len(out)); err != nil {
+	if err := n.env.writeRun(n.out, out.Len()); err != nil {
 		return nil, err
 	}
 	n.out.Flush()
-	n.env.record(n.id, OpSelect, StepOutput, float64(len(out)), clock.Now()-t0)
+	n.env.record(n.id, OpSelect, StepOutput, float64(out.Len()), clock.Now()-t0)
 
-	n.stats.CumPoints += float64(len(in))
-	n.stats.CumOut += float64(len(out))
+	n.stats.CumPoints += float64(in.Len())
+	n.stats.CumOut += float64(out.Len())
 	return out, nil
 }
 
@@ -823,18 +708,15 @@ func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
 // Project node (Fig. 4.7)
 
 type projectNode struct {
-	id     int
-	child  Node
-	idx    []int
-	schema *tuple.Schema
-	src    ra.Expr
-	env    *Env
-	temp   *storage.TempFile
-	out    *storage.TempFile
-	// keyed selects normalized-byte-key dedup: map operations happen
-	// once per equal-key group of the sorted run instead of per tuple.
-	keyed     bool
-	occupancy map[string]int
+	id        int
+	child     Node
+	idx       []int
+	schema    *tuple.Schema
+	src       ra.Expr
+	env       *Env
+	temp      *storage.TempFile
+	out       *storage.TempFile
+	occupancy map[string]int // normalized key → times seen in the cumulative sample
 	stats     Stats
 	// keyArena/keyScratch recycle the per-stage normalized-key build
 	// across stages: the projection's keys are transient (the occupancy
@@ -843,6 +725,7 @@ type projectNode struct {
 	// can share one arena for the whole query.
 	keyArena   []byte
 	keyScratch [][]byte
+	fresh      []int32 // reusable newly-distinct row index buffer
 }
 
 func newProjectNode(env *Env, child Node, cols []string, src ra.Expr) (Node, error) {
@@ -859,7 +742,6 @@ func newProjectNode(env *Env, child Node, cols []string, src ra.Expr) (Node, err
 		env:       env,
 		temp:      env.NewScratchFile(schema),
 		out:       env.NewScratchFile(schema),
-		keyed:     tuple.CanNormalizeKeys(schema, nil),
 		occupancy: make(map[string]int),
 	}, nil
 }
@@ -886,151 +768,45 @@ func (n *projectNode) Occupancies() map[int]int {
 // projection has consumed (Goodman's sample size n).
 func (n *projectNode) SampledInput() int64 { return int64(n.stats.CumPoints) }
 
-func (n *projectNode) Advance(stage int) ([]tuple.Tuple, error) {
-	// Columnar fast path: projection is a column view, the sort works
-	// over batch-built keys, and only newly distinct tuples are ever
-	// materialized as rows. Applies under the same conditions as the
-	// select fast path, plus keyed dedup (the unkeyed walk needs the
-	// materialized tuples for map keys).
-	var bb *tuple.Batch
-	if n.keyed && !n.env.armedDeadline().Armed() {
-		if base, ok := n.child.(*baseNode); ok {
-			bb = base.feed.StageBatch(stage)
-		}
-	}
+func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	in, err := n.child.Advance(stage)
 	if err != nil {
 		return nil, err
 	}
 	n.env.chargeInit(n.id, OpProject)
-	if bb != nil {
-		return n.advanceBatch(bb)
-	}
 	clock := n.env.Clock()
 	costs := n.env.Store.Costs()
 
-	// Step 1: write projected attributes to a temporary file.
+	// Step 1: write projected attributes to a temporary file. The
+	// projection itself is a zero-copy column view.
 	t0 := clock.Now()
-	projected := make([]tuple.Tuple, len(in))
-	for i, t := range in {
-		if err := n.env.checkDeadline(); err != nil {
-			return nil, err
-		}
-		projected[i] = t.Project(n.idx)
-		n.temp.Write(projected[i])
+	proj := in.Project(n.schema, n.idx)
+	if err := n.env.writeRun(n.temp, proj.Len()); err != nil {
+		return nil, err
 	}
 	n.temp.Flush()
-	n.env.record(n.id, OpProject, StepWrite, float64(len(in)), clock.Now()-t0)
+	n.env.record(n.id, OpProject, StepWrite, float64(proj.Len()), clock.Now()-t0)
 	if err := n.env.checkDeadline(); err != nil {
 		return nil, err
 	}
 
-	// Step 2: sort the temporary file (this stage's run).
+	// Step 2: sort the temporary file (this stage's run) — an argsort
+	// over the rows' normalized keys.
 	t0 = clock.Now()
-	var sorted []tuple.Tuple
-	var keys [][]byte
-	var comps int64
-	if n.keyed {
-		n.keyArena, n.keyScratch = buildNormKeysInto(n.keyArena, n.keyScratch, projected, n.schema, nil)
-		keys = n.keyScratch
-		res := sortx.SortKeyed(projected, keys, 0)
-		sorted, keys, comps = res.Sorted, res.Keys, res.Comparisons
-	} else {
-		res := sortx.Sort(projected, func(a, b tuple.Tuple) int {
-			return tuple.Compare(a, b, nil, nil)
-		}, 0)
-		sorted, comps = res.Sorted, res.Comparisons
-	}
-	if err := n.env.chargeChunked(comps, costs.TupleCompare); err != nil {
-		return nil, err
-	}
-	n.env.record(n.id, OpProject, StepSort, nLogN(len(projected)), clock.Now()-t0)
-
-	// Step 3: scan, count occupancies, emit newly distinct tuples. The
-	// keyed path walks the sorted run group by group so the occupancy
-	// map is consulted once per distinct value, not once per tuple; the
-	// per-tuple check charge and deadline poll are unchanged.
-	t0 = clock.Now()
-	var out []tuple.Tuple
-	if n.keyed {
-		for i := 0; i < len(sorted); {
-			j := i + 1
-			for j < len(sorted) && bytes.Equal(keys[j], keys[i]) {
-				j++
-			}
-			prior := n.occupancy[string(keys[i])]
-			for idx := i; idx < j; idx++ {
-				if err := n.env.checkDeadline(); err != nil {
-					return nil, err
-				}
-				clock.Charge(costs.TupleCheck)
-				if prior == 0 && idx == i {
-					out = append(out, sorted[idx])
-					n.out.Write(sorted[idx])
-				}
-			}
-			n.occupancy[string(keys[i])] = prior + (j - i)
-			i = j
-		}
-	} else {
-		for _, t := range sorted {
-			if err := n.env.checkDeadline(); err != nil {
-				return nil, err
-			}
-			clock.Charge(costs.TupleCheck)
-			k := t.Key(n.schema, nil)
-			if n.occupancy[k] == 0 {
-				out = append(out, t)
-				n.out.Write(t)
-			}
-			n.occupancy[k]++
-		}
-	}
-	n.out.Flush()
-	n.env.record(n.id, OpProject, StepScan, float64(len(sorted)), clock.Now()-t0)
-
-	n.stats.CumPoints += float64(len(in))
-	n.stats.CumOut += float64(len(out))
-	return out, nil
-}
-
-// advanceBatch is the columnar Advance of a keyed projection under an
-// unarmed deadline: the projection is a zero-copy column view, the sort
-// is an argsort over batch-built normalized keys, and only newly
-// distinct tuples are materialized as rows. Charges, counters, polls
-// and emitted tuples are identical to the scalar path.
-func (n *projectNode) advanceBatch(bb *tuple.Batch) ([]tuple.Tuple, error) {
-	clock := n.env.Clock()
-	costs := n.env.Store.Costs()
-
-	// Step 1: write projected attributes to a temporary file.
-	t0 := clock.Now()
-	projB := bb.Project(n.schema, n.idx)
-	if err := n.env.writeRun(n.temp, projB.Len()); err != nil {
-		return nil, err
-	}
-	n.temp.Flush()
-	n.env.record(n.id, OpProject, StepWrite, float64(projB.Len()), clock.Now()-t0)
-	if err := n.env.checkDeadline(); err != nil {
-		return nil, err
-	}
-
-	// Step 2: sort this stage's run.
-	t0 = clock.Now()
-	n.keyArena, n.keyScratch = batchNormKeysInto(n.keyArena, n.keyScratch, projB, nil)
+	n.keyArena, n.keyScratch = batchNormKeysInto(n.keyArena, n.keyScratch, proj, nil, nil)
 	res := sortx.SortKeyedIdx(n.keyScratch, 0)
 	if err := n.env.chargeChunked(res.Comparisons, costs.TupleCompare); err != nil {
 		return nil, err
 	}
-	n.env.record(n.id, OpProject, StepSort, nLogN(projB.Len()), clock.Now()-t0)
+	n.env.record(n.id, OpProject, StepSort, nLogN(proj.Len()), clock.Now()-t0)
 
-	// Step 3: walk the sorted run group by group. The scalar path's
-	// per-tuple poll and check charge are batched around the single
-	// first-of-group write, preserving the charge sequence exactly
-	// (poll, check charge, then the group winner's write, then the
-	// remaining members' poll+charge pairs).
+	// Step 3: scan, count occupancies, emit newly distinct tuples. The
+	// sorted run is walked group by group so the occupancy map is
+	// consulted once per distinct value; the charge sequence is the
+	// per-tuple one (poll, check charge, then the group winner's write,
+	// then the remaining members' poll+charge pairs).
 	t0 = clock.Now()
-	var out []tuple.Tuple
+	n.fresh = n.fresh[:0]
 	keys := res.Keys
 	for i := 0; i < len(keys); {
 		j := i + 1
@@ -1042,8 +818,7 @@ func (n *projectNode) advanceBatch(bb *tuple.Batch) ([]tuple.Tuple, error) {
 			return nil, err
 		}
 		if prior == 0 {
-			t := projB.Row(int(res.Perm[i]))
-			out = append(out, t)
+			n.fresh = append(n.fresh, res.Perm[i])
 			n.out.WriteN(1)
 		}
 		if err := n.env.pollChargeRun(j-i-1, costs.TupleCheck); err != nil {
@@ -1053,10 +828,11 @@ func (n *projectNode) advanceBatch(bb *tuple.Batch) ([]tuple.Tuple, error) {
 		i = j
 	}
 	n.out.Flush()
-	n.env.record(n.id, OpProject, StepScan, float64(projB.Len()), clock.Now()-t0)
+	n.env.record(n.id, OpProject, StepScan, float64(proj.Len()), clock.Now()-t0)
 
-	n.stats.CumPoints += float64(bb.Len())
-	n.stats.CumOut += float64(len(out))
+	out := proj.Gather(n.fresh)
+	n.stats.CumPoints += float64(in.Len())
+	n.stats.CumOut += float64(out.Len())
 	return out, nil
 }
 
@@ -1075,31 +851,20 @@ type mergeNode struct {
 	right  Node
 	lcols  []int
 	rcols  []int
+	widen  []bool // key positions compared as floats (tuple.JoinWiden)
 	schema *tuple.Schema
-	emit   func(l, r tuple.Tuple) tuple.Tuple
 	env    *Env
 	plan   Plan
 	stages int // stages advanced (= per-stage runs held on each side)
 
-	// keyed selects the normalized-byte-key fast path (merge.go); runs
-	// with Float key columns use the legacy tuple.Compare path.
-	keyed bool
-	// Fast-path state: per-stage run summaries + cumulative sorted runs.
+	// Per-stage run summaries + cumulative sorted runs (merge.go).
 	lside mergeSide
 	rside mergeSide
-	// Reusable stage-tag output buckets of the cumulative plan.
-	bucketsA [][]tuple.Tuple
-	bucketsB [][]tuple.Tuple
-	// emitA/emitB are the per-join emitters of the cumulative plan's
-	// two physical bucket joins. For join nodes each owns a private
-	// arena so the joins can run on separate goroutines (emit is the
-	// only mutating call a bucket-join walk makes); for intersects all
-	// three emitters are the same stateless function.
-	emitA func(l, r tuple.Tuple) tuple.Tuple
-	emitB func(l, r tuple.Tuple) tuple.Tuple
-	// Legacy-path state: retained sorted runs per stage.
-	lruns [][]tuple.Tuple
-	rruns [][]tuple.Tuple
+	// Reusable stage-tag output buckets of the cumulative plan's two
+	// physical bucket joins; disjoint, so the joins can run on separate
+	// goroutines.
+	bucketsA []pairBucket
+	bucketsB []pairBucket
 
 	lcum  int64
 	rcum  int64
@@ -1116,40 +881,12 @@ func newJoinNode(env *Env, left, right Node, on []ra.JoinCond, plan Plan, src ra
 	if err != nil {
 		return nil, err
 	}
-	n := &mergeNode{
+	return &mergeNode{
 		id: env.newID(), op: OpJoin, src: src, left: left, right: right,
 		lcols: lcols, rcols: rcols, schema: schema,
-		env: env, plan: plan, out: env.NewScratchFile(schema),
-		keyed: tuple.KeysComparable(left.Schema(), lcols, right.Schema(), rcols),
-	}
-	n.emit = (&concatEmitter{}).emit
-	n.emitA = (&concatEmitter{}).emit
-	n.emitB = (&concatEmitter{}).emit
-	return n, nil
-}
-
-// concatEmitter builds joined output tuples l∘r, carving value slices
-// out of a block arena so a join's emissions cost one allocation per
-// block instead of one per tuple. Blocks are only ever appended to
-// through c.arena and each returned tuple is capacity-clamped, so the
-// shared backing is invisible to callers.
-type concatEmitter struct {
-	arena []tuple.Value
-}
-
-func (c *concatEmitter) emit(l, r tuple.Tuple) tuple.Tuple {
-	need := len(l) + len(r)
-	if cap(c.arena)-len(c.arena) < need {
-		size := 1 << 13
-		if size < need {
-			size = need
-		}
-		c.arena = make([]tuple.Value, 0, size)
-	}
-	start := len(c.arena)
-	c.arena = append(c.arena, l...)
-	c.arena = append(c.arena, r...)
-	return tuple.Tuple(c.arena[start:len(c.arena):len(c.arena)])
+		widen: tuple.JoinWiden(left.Schema(), lcols, right.Schema(), rcols),
+		env:   env, plan: plan, out: env.NewScratchFile(schema),
+	}, nil
 }
 
 func newIntersectNode(env *Env, left, right Node, plan Plan, src ra.Expr) (Node, error) {
@@ -1161,13 +898,10 @@ func newIntersectNode(env *Env, left, right Node, plan Plan, src ra.Expr) (Node,
 	for i := range all {
 		all[i] = i
 	}
-	emit := func(l, r tuple.Tuple) tuple.Tuple { return l }
 	return &mergeNode{
 		id: env.newID(), op: OpIntersect, src: src, left: left, right: right,
 		lcols: all, rcols: all, schema: ls,
-		emit: emit, emitA: emit, emitB: emit,
 		env: env, plan: plan, out: env.NewScratchFile(ls),
-		keyed: tuple.KeysComparable(ls, all, rs, all),
 	}, nil
 }
 
@@ -1178,11 +912,7 @@ func (n *mergeNode) Schema() *tuple.Schema { return n.schema }
 func (n *mergeNode) Stats() Stats          { return n.stats }
 func (n *mergeNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
 
-func (n *mergeNode) keyCmpLR(l, r tuple.Tuple) int {
-	return tuple.Compare(l, r, n.lcols, n.rcols)
-}
-
-func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
+func (n *mergeNode) Advance(stage int) (*tuple.Batch, error) {
 	newL, err := n.left.Advance(stage)
 	if err != nil {
 		return nil, err
@@ -1199,49 +929,40 @@ func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
 	// files are charge-only: both samples are already in memory.
 	t0 := clock.Now()
 	lTemp := n.env.NewScratchFile(n.left.Schema())
-	if err := n.env.writeRun(lTemp, len(newL)); err != nil {
+	if err := n.env.writeRun(lTemp, newL.Len()); err != nil {
 		return nil, err
 	}
 	lTemp.Flush()
 	rTemp := n.env.NewScratchFile(n.right.Schema())
-	if err := n.env.writeRun(rTemp, len(newR)); err != nil {
+	if err := n.env.writeRun(rTemp, newR.Len()); err != nil {
 		return nil, err
 	}
 	rTemp.Flush()
-	n.env.record(n.id, n.op, StepWrite, float64(len(newL)+len(newR)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepWrite, float64(newL.Len()+newR.Len()), clock.Now()-t0)
 	if err := n.env.checkDeadline(); err != nil {
 		return nil, err
 	}
 
 	// Step 2: sort both temporary files (eq. 4.3).
 	t0 = clock.Now()
-	lRun, rRun, comps := n.sortNewRuns(newL, newR,
-		stageBatchOf(n.left, stage), stageBatchOf(n.right, stage))
+	lRun, rRun, comps := n.sortNewRuns(newL, newR)
 	if err := n.env.chargeChunked(comps, costs.TupleCompare); err != nil {
 		return nil, err
 	}
-	n.env.record(n.id, n.op, StepSort, nLogN(len(newL))+nLogN(len(newR)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepSort, nLogN(newL.Len())+nLogN(newR.Len()), clock.Now()-t0)
 
 	n.stages++
 
 	// Step 3: merge per the fulfillment plan (eq. 4.4, Fig. 4.5). The
-	// fast path evaluates the full-fulfillment pair set incrementally
-	// against cumulative runs (merge.go); charges are identical.
+	// full-fulfillment pair set is evaluated incrementally against
+	// cumulative runs (merge.go), charged pair by pair.
 	t0 = clock.Now()
-	var out []tuple.Tuple
+	var out *tuple.Batch
 	var mergeUnits float64
-	switch {
-	case !n.keyed:
-		out, mergeUnits, err = n.advanceLegacy(lRun.ts, rRun.ts)
-	case n.plan == FullFulfillment:
+	if n.plan == FullFulfillment {
 		out, mergeUnits, err = n.advanceCumulative(lRun, rRun)
-	default:
-		var pc int64
-		out, pc, err = n.keyedMergeJoin(lRun, rRun)
-		if err == nil {
-			err = n.env.chargeChunked(pc, costs.TupleCompare)
-			mergeUnits = float64(len(lRun.ts) + len(rRun.ts))
-		}
+	} else {
+		out, mergeUnits, err = n.advanceSameStage(lRun, rRun)
 	}
 	if err != nil {
 		return nil, err
@@ -1250,24 +971,24 @@ func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
 
 	// Write output pages.
 	t0 = clock.Now()
-	if err := n.env.writeRun(n.out, len(out)); err != nil {
+	if err := n.env.writeRun(n.out, out.Len()); err != nil {
 		return nil, err
 	}
 	n.out.Flush()
-	n.env.record(n.id, n.op, StepOutput, float64(len(out)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepOutput, float64(out.Len()), clock.Now()-t0)
 
 	// Point-space accounting.
 	var newPoints float64
 	if n.plan == FullFulfillment {
-		newPoints = float64(n.lcum+int64(len(newL)))*float64(n.rcum+int64(len(newR))) -
+		newPoints = float64(n.lcum+int64(newL.Len()))*float64(n.rcum+int64(newR.Len())) -
 			float64(n.lcum)*float64(n.rcum)
 	} else {
-		newPoints = float64(len(newL)) * float64(len(newR))
+		newPoints = float64(newL.Len()) * float64(newR.Len())
 	}
-	n.lcum += int64(len(newL))
-	n.rcum += int64(len(newR))
+	n.lcum += int64(newL.Len())
+	n.rcum += int64(newR.Len())
 	n.stats.CumPoints += newPoints
-	n.stats.CumOut += float64(len(out))
+	n.stats.CumOut += float64(out.Len())
 	return out, nil
 }
 

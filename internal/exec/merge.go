@@ -17,12 +17,13 @@ package exec
 // merged in one sorted sequence. Per-stage runs are immutable once
 // sorted; the cumulative sequence is a slice of packed (stage, index)
 // references into them — pointer-free, so folding a new stage in is a
-// write-barrier-free merge of int64s rather than a rewrite of tuple and
-// key slices. Match emissions are bucketed by the cumulative element's
-// stage and the buckets concatenated in the Fig. 4.5 pair order, so the
-// output slice is identical — element for element — to the per-pair
-// plan's output. Comparisons compare cached normalized byte keys
-// (internal/tuple) instead of re-walking []Value columns.
+// write-barrier-free merge of int64s rather than a rewrite of row and
+// key slices. A match is emitted as a (left row, right row) index pair
+// into the bucket of the cumulative element's stage; the buckets are
+// gathered into the output batch in the Fig. 4.5 pair order, so the
+// output is identical — row for row — to the per-pair plan's output
+// (merge_test.go keeps the literal per-pair plan as the oracle).
+// Comparisons compare cached normalized byte keys (internal/tuple).
 //
 // The simulated cost model is charged exactly as the per-pair plan
 // charges it: per logical pair (in Fig. 4.5 order) the executor charges
@@ -31,12 +32,6 @@ package exec
 // with the same deadline-poll points. Merge step units remain
 // Σ(len(l)+len(r)) over logical pairs (eq. 4.4). Only host CPU time and
 // allocations change.
-//
-// Runs whose key columns contain Float attributes fall back to the
-// legacy per-pair path: CompareValues orders NaN equal to everything,
-// which admits no total byte order (and makes group summaries
-// ill-defined), so the cumulative-run transformation is not sound
-// there.
 
 import (
 	"bytes"
@@ -51,13 +46,17 @@ import (
 // interval trades interrupt latency against host overhead only.
 const mergePollInterval = 1024
 
-// sortedRun is one stage's sorted new sample; keys[i] is the normalized
-// key of ts[i] (nil on the legacy path) and pres[i] its abbreviation.
+// sortedRun is one stage's new sample in key order: rank i of the run is
+// row perm[i] of b, keys[i] its normalized key and pres[i] the key's
+// abbreviation. The batch itself is never reordered.
 type sortedRun struct {
-	ts   []tuple.Tuple
+	b    *tuple.Batch
+	perm []int32
 	keys [][]byte
 	pres []uint64
 }
+
+func (r sortedRun) len() int { return len(r.keys) }
 
 // keyPrefix abbreviates a normalized key to its first eight bytes as a
 // big-endian integer, zero-padded. Zero padding is order-preserving
@@ -130,7 +129,8 @@ func groupsOf(keys [][]byte, pres []uint64) []keyGroup {
 	return gs
 }
 
-// pairComps returns the number of comparisons mergeJoin performs on two
+// pairComps returns the number of comparisons a per-pair merge-join
+// (the partial plan's advanceSameStage, the test oracle) performs on two
 // key-sorted runs with the given group summaries. The count mirrors the
 // element-level walk exactly: a group that sorts below the other side's
 // current key costs one comparison per element (each element advances
@@ -159,70 +159,40 @@ func pairComps(gl, gr []keyGroup) int64 {
 	return comps
 }
 
-// buildNormKeys encodes the normalized key of every tuple on the given
+// batchNormKeys encodes the normalized key of every row on the given
 // columns, packing all keys into one arena allocation. The keys are
 // freshly allocated and may be retained indefinitely (the merge sides
 // keep their runs' keys for the query lifetime).
-func buildNormKeys(ts []tuple.Tuple, s *tuple.Schema, cols []int) [][]byte {
-	if len(ts) == 0 {
+func batchNormKeys(b *tuple.Batch, cols []int, widen []bool) [][]byte {
+	if b.Len() == 0 {
 		return nil
 	}
-	_, keys := buildNormKeysInto(nil, nil, ts, s, cols)
+	_, keys := batchNormKeysInto(nil, nil, b, cols, widen)
 	return keys
 }
 
-// buildNormKeysInto is buildNormKeys over caller-owned scratch: the
+// batchNormKeysInto is batchNormKeys over caller-owned scratch: the
 // arena and the key-slice header are reused when their capacity
 // suffices, so a caller that rebuilds keys every stage (the projection
 // dedup) amortizes to zero allocations instead of one arena pair per
 // stage. The returned keys alias the returned arena and are valid only
 // until the next call with the same scratch — callers that retain keys
-// (the merge sides' sorted runs) must use buildNormKeys instead.
-func buildNormKeysInto(arena []byte, keys [][]byte, ts []tuple.Tuple, s *tuple.Schema, cols []int) ([]byte, [][]byte) {
-	arena, keys = normKeyScratch(arena, keys, len(ts), tuple.NormKeySizeHint(s, cols))
-	for i, t := range ts {
-		start := len(arena)
-		arena = tuple.AppendNormKey(arena, t, cols)
-		keys[i] = arena[start:len(arena):len(arena)]
-	}
-	return arena, keys
-}
-
-// batchNormKeys is buildNormKeys over a columnar stage sample: same
-// arena layout, byte-identical keys, no tuple materialization or
-// interface-value walking. Like buildNormKeys, the keys are freshly
-// allocated and safe to retain.
-func batchNormKeys(b *tuple.Batch, cols []int) [][]byte {
-	if b.Len() == 0 {
-		return nil
-	}
-	_, keys := batchNormKeysInto(nil, nil, b, cols)
-	return keys
-}
-
-// batchNormKeysInto is buildNormKeysInto over a columnar stage sample:
-// scratch reuse with the same aliasing contract.
-func batchNormKeysInto(arena []byte, keys [][]byte, b *tuple.Batch, cols []int) ([]byte, [][]byte) {
+// (the merge sides' sorted runs) must use batchNormKeys instead.
+func batchNormKeysInto(arena []byte, keys [][]byte, b *tuple.Batch, cols []int, widen []bool) ([]byte, [][]byte) {
 	n := b.Len()
-	arena, keys = normKeyScratch(arena, keys, n, tuple.NormKeySizeHint(b.Schema(), cols))
-	for i := 0; i < n; i++ {
-		start := len(arena)
-		arena = b.AppendNormKey(arena, i, cols)
-		keys[i] = arena[start:len(arena):len(arena)]
-	}
-	return arena, keys
-}
-
-// normKeyScratch resets the key-build scratch for n keys of the given
-// size hint, reallocating only when capacity is short.
-func normKeyScratch(arena []byte, keys [][]byte, n, hint int) ([]byte, [][]byte) {
-	if need := n * hint; cap(arena) < need {
+	if need := n * tuple.NormKeySizeHint(b.Schema(), cols); cap(arena) < need {
 		arena = make([]byte, 0, need)
 	}
 	if cap(keys) < n {
 		keys = make([][]byte, n)
 	}
-	return arena[:0], keys[:n]
+	arena, keys = arena[:0], keys[:n]
+	for i := 0; i < n; i++ {
+		start := len(arena)
+		arena = b.AppendNormKey(arena, i, cols, widen)
+		keys[i] = arena[start:len(arena):len(arena)]
+	}
+	return arena, keys
 }
 
 // cumRef packs the position of one cumulative-run element: the stage
@@ -246,9 +216,9 @@ type mergeSide struct {
 	spare     []cumRef // double-buffer target for the next merge
 }
 
-func (s *mergeSide) key(r cumRef) []byte      { return s.runs[r.stage()].keys[r.idx()] }
-func (s *mergeSide) pre(r cumRef) uint64      { return s.runs[r.stage()].pres[r.idx()] }
-func (s *mergeSide) tup(r cumRef) tuple.Tuple { return s.runs[r.stage()].ts[r.idx()] }
+func (s *mergeSide) key(r cumRef) []byte { return s.runs[r.stage()].keys[r.idx()] }
+func (s *mergeSide) pre(r cumRef) uint64 { return s.runs[r.stage()].pres[r.idx()] }
+func (s *mergeSide) row(r cumRef) int32  { return s.runs[r.stage()].perm[r.idx()] }
 
 // addRun appends a stage's sorted run and folds it into the cumulative
 // order, old elements winning key ties (stage-stable).
@@ -256,10 +226,10 @@ func (s *mergeSide) addRun(r sortedRun) {
 	stage := len(s.runs)
 	s.runs = append(s.runs, r)
 	s.runGroups = append(s.runGroups, groupsOf(r.keys, r.pres))
-	if len(r.ts) == 0 {
+	if r.len() == 0 {
 		return
 	}
-	need := len(s.cum) + len(r.ts)
+	need := len(s.cum) + r.len()
 	out := s.spare[:0]
 	if cap(out) < need {
 		// Overallocate so the buffer survives several generations of
@@ -267,7 +237,7 @@ func (s *mergeSide) addRun(r sortedRun) {
 		out = make([]cumRef, 0, need+need/2)
 	}
 	i, j := 0, 0
-	for i < len(s.cum) && j < len(r.ts) {
+	for i < len(s.cum) && j < r.len() {
 		c := s.cum[i]
 		if cmpKeys(s.pre(c), s.key(c), r.pres[j], r.keys[j]) <= 0 {
 			out = append(out, c)
@@ -278,21 +248,30 @@ func (s *mergeSide) addRun(r sortedRun) {
 		}
 	}
 	out = append(out, s.cum[i:]...)
-	for ; j < len(r.ts); j++ {
+	for ; j < r.len(); j++ {
 		out = append(out, makeRef(stage, j))
 	}
 	s.spare = s.cum
 	s.cum = out
 }
 
+// pairBucket collects the matches of one logical Fig. 4.5 pair as
+// parallel row indices into the pair's left and right batches.
+type pairBucket struct{ l, r []int32 }
+
+func (p *pairBucket) add(l, r int32) {
+	p.l = append(p.l, l)
+	p.r = append(p.r, r)
+}
+
 // resetBuckets returns buf resized to n empty buckets, reusing backing
 // arrays from previous stages.
-func resetBuckets(buf [][]tuple.Tuple, n int) [][]tuple.Tuple {
+func resetBuckets(buf []pairBucket, n int) []pairBucket {
 	for i := range buf {
-		buf[i] = buf[i][:0]
+		buf[i].l, buf[i].r = buf[i].l[:0], buf[i].r[:0]
 	}
 	for len(buf) < n {
-		buf = append(buf, nil)
+		buf = append(buf, pairBucket{})
 	}
 	return buf[:n]
 }
@@ -309,23 +288,22 @@ func countPoll(c *int64) func() error {
 }
 
 // bucketJoin merge-joins a new run against a side's cumulative run,
-// appending emit(new, cum-element) — or emit(cum-element, new) when
-// newIsLeft is false — to buckets[stage of the cum element]. Because an
-// equal-key range of the cumulative run is ordered stage-major with
-// within-run order preserved, bucket t receives exactly the output the
-// per-pair plan's merge-join of (new × run_t) would emit, in the same
-// order: keys ascending, left-major within a key.
+// adding the (left row, right row) pair of every match — the new run is
+// the left input when newIsLeft — to buckets[stage of the cum element].
+// Because an equal-key range of the cumulative run is ordered
+// stage-major with within-run order preserved, bucket t receives exactly
+// the output the per-pair plan's merge-join of (new × run_t) would emit,
+// in the same order: keys ascending, left-major within a key.
 //
-// emit and poll are parameters so the two bucket joins of a stage can
-// run on separate goroutines: each gets its own arena-backed emitter
-// and a local poll counter (see advanceCumulative). The walk itself
-// reads only immutable run/cum state.
-func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets [][]tuple.Tuple,
-	emit func(l, r tuple.Tuple) tuple.Tuple, poll func() error) error {
+// poll is a parameter so the two bucket joins of a stage can run on
+// separate goroutines, each with a local poll counter (see
+// advanceCumulative). The walk itself reads only immutable run/cum
+// state and writes only its own buckets.
+func bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets []pairBucket, poll func() error) error {
 	cum := side.cum
 	i, j := 0, 0
 	ops := 0
-	for i < len(nw.ts) && j < len(cum) {
+	for i < nw.len() && j < len(cum) {
 		if ops++; ops%mergePollInterval == 0 {
 			if err := poll(); err != nil {
 				return err
@@ -341,7 +319,7 @@ func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, bu
 			continue
 		}
 		i2 := i + 1
-		for i2 < len(nw.ts) && eqKeys(nw.pres[i2], nw.keys[i2], nw.pres[i], nw.keys[i]) {
+		for i2 < nw.len() && eqKeys(nw.pres[i2], nw.keys[i2], nw.pres[i], nw.keys[i]) {
 			i2++
 		}
 		j2 := j + 1
@@ -356,21 +334,19 @@ func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, bu
 							return err
 						}
 					}
-					tg := cum[b].stage()
-					buckets[tg] = append(buckets[tg], emit(nw.ts[a], side.tup(cum[b])))
+					buckets[cum[b].stage()].add(nw.perm[a], side.row(cum[b]))
 				}
 			}
 		} else {
 			for b := j; b < j2; b++ {
-				tg := cum[b].stage()
-				ct := side.tup(cum[b])
+				bk, row := &buckets[cum[b].stage()], side.row(cum[b])
 				for a := i; a < i2; a++ {
 					if ops++; ops%mergePollInterval == 0 {
 						if err := poll(); err != nil {
 							return err
 						}
 					}
-					buckets[tg] = append(buckets[tg], emit(ct, nw.ts[a]))
+					bk.add(row, nw.perm[a])
 				}
 			}
 		}
@@ -393,99 +369,102 @@ func (n *mergeNode) chargePair(lLen, rLen int, comps int64) error {
 	return n.env.chargeChunked(comps, n.env.Store.Costs().TupleCompare)
 }
 
+// gather appends one logical pair's matches to the stage output: the
+// left rows alone for an intersect, left∘right rows for a join.
+func (n *mergeNode) gather(out *tuple.Batch, l, r *tuple.Batch, bk pairBucket) {
+	if n.op == OpIntersect {
+		r = nil
+	}
+	out.AppendJoined(l, bk.l, r, bk.r)
+}
+
 // advanceCumulative runs step 3 of the full-fulfillment plan over the
 // cumulative runs: two physical merge-joins, per-pair charges, and the
 // Fig. 4.5-ordered output assembly. Returns the stage output and the
 // merge step units.
-func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) ([]tuple.Tuple, float64, error) {
+func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) (*tuple.Batch, float64, error) {
 	s := n.stages - 1 // 0-based index of this stage
 
 	// Physical work: newL × (cumR ∪ newR), then cumL_old × newR. The two
-	// joins read disjoint mutable state (buckets, emit arenas) over
-	// immutable runs, and under an unarmed deadline their polls cannot
-	// fail and read no clock — so they may run on two goroutines, with
-	// each join's polls counted locally and folded back in join order.
-	// Under an armed deadline the serial walk is kept: an abort's
-	// position depends on the global poll interleaving.
+	// joins read disjoint mutable state (their buckets) over immutable
+	// runs, and under an unarmed deadline their polls cannot fail and
+	// read no clock — so they may run on two goroutines, with each
+	// join's polls counted locally and folded back in join order. Under
+	// an armed deadline the serial walk is kept: an abort's position
+	// depends on the global poll interleaving.
 	n.rside.addRun(rRun)
 	n.bucketsA = resetBuckets(n.bucketsA, s+1)
 	n.bucketsB = resetBuckets(n.bucketsB, s)
 	if n.env.armedDeadline().Armed() {
-		if err := n.bucketJoin(lRun, &n.rside, true, n.bucketsA, n.emitA, n.env.checkDeadline); err != nil {
+		if err := bucketJoin(lRun, &n.rside, true, n.bucketsA, n.env.checkDeadline); err != nil {
 			return nil, 0, err
 		}
-		if err := n.bucketJoin(rRun, &n.lside, false, n.bucketsB, n.emitB, n.env.checkDeadline); err != nil {
+		if err := bucketJoin(rRun, &n.lside, false, n.bucketsB, n.env.checkDeadline); err != nil {
 			return nil, 0, err
 		}
 	} else {
 		var pollsA, pollsB int64
-		var errA, errB error
-		sizeA := len(lRun.ts) + len(n.rside.cum)
-		sizeB := len(rRun.ts) + len(n.lside.cum)
+		sizeA := lRun.len() + len(n.rside.cum)
+		sizeB := rRun.len() + len(n.lside.cum)
+		// A counting poll never fails, so neither can these walks.
 		n.env.runPar(min(sizeA, sizeB), func() {
-			errA = n.bucketJoin(lRun, &n.rside, true, n.bucketsA, n.emitA, countPoll(&pollsA))
+			bucketJoin(lRun, &n.rside, true, n.bucketsA, countPoll(&pollsA))
 		}, func() {
-			errB = n.bucketJoin(rRun, &n.lside, false, n.bucketsB, n.emitB, countPoll(&pollsB))
+			bucketJoin(rRun, &n.lside, false, n.bucketsB, countPoll(&pollsB))
 		})
 		n.env.DeadlinePolls += pollsA + pollsB
-		if errA != nil {
-			return nil, 0, errA
-		}
-		if errB != nil {
-			return nil, 0, errB
-		}
 	}
 	n.lside.addRun(lRun)
 
 	// Simulated charges, in the per-pair plan's order.
-	lg := groupsOf(lRun.keys, lRun.pres)
+	lg := n.lside.runGroups[s]
 	rg := n.rside.runGroups[s]
 	var mergeUnits float64
 	for i := 0; i <= s; i++ {
-		rLen := len(n.rside.runs[i].ts)
-		if err := n.chargePair(len(lRun.ts), rLen, pairComps(lg, n.rside.runGroups[i])); err != nil {
+		rLen := n.rside.runs[i].len()
+		if err := n.chargePair(lRun.len(), rLen, pairComps(lg, n.rside.runGroups[i])); err != nil {
 			return nil, 0, err
 		}
-		mergeUnits += float64(len(lRun.ts) + rLen)
+		mergeUnits += float64(lRun.len() + rLen)
 	}
 	for i := 0; i < s; i++ {
-		lLen := len(n.lside.runs[i].ts)
-		if err := n.chargePair(lLen, len(rRun.ts), pairComps(n.lside.runGroups[i], rg)); err != nil {
+		lLen := n.lside.runs[i].len()
+		if err := n.chargePair(lLen, rRun.len(), pairComps(n.lside.runGroups[i], rg)); err != nil {
 			return nil, 0, err
 		}
-		mergeUnits += float64(lLen + len(rRun.ts))
+		mergeUnits += float64(lLen + rRun.len())
 	}
 
 	// Assemble the output in pair order: A_0..A_s (newL × run_i of the
 	// right side, the new right run last), then B_0..B_{s-1}.
 	total := 0
-	for _, b := range n.bucketsA {
-		total += len(b)
+	for _, bk := range n.bucketsA {
+		total += len(bk.l)
 	}
-	for _, b := range n.bucketsB {
-		total += len(b)
+	for _, bk := range n.bucketsB {
+		total += len(bk.l)
 	}
-	out := make([]tuple.Tuple, 0, total)
-	for _, b := range n.bucketsA {
-		out = append(out, b...)
+	out := tuple.NewBatchCap(n.schema, total)
+	for i, bk := range n.bucketsA {
+		n.gather(out, lRun.b, n.rside.runs[i].b, bk)
 	}
-	for _, b := range n.bucketsB {
-		out = append(out, b...)
+	for i, bk := range n.bucketsB {
+		n.gather(out, n.lside.runs[i].b, rRun.b, bk)
 	}
 	return out, mergeUnits, nil
 }
 
-// keyedMergeJoin is the cached-key twin of mergeJoin, used by the
-// partial-fulfillment plan's single same-stage pair. Walk, comparison
-// accounting, and deadline polling match mergeJoin exactly.
-func (n *mergeNode) keyedMergeJoin(l, r sortedRun) ([]tuple.Tuple, int64, error) {
-	var out []tuple.Tuple
+// advanceSameStage runs step 3 of the partial-fulfillment plan: the one
+// same-stage pair, merge-joined element by element with its comparisons
+// counted as it goes and charged afterwards.
+func (n *mergeNode) advanceSameStage(l, r sortedRun) (*tuple.Batch, float64, error) {
+	var bk pairBucket
 	var comps int64
 	i, j := 0, 0
-	for i < len(l.ts) && j < len(r.ts) {
+	for i < l.len() && j < r.len() {
 		if (i+j)%16 == 0 {
 			if err := n.env.checkDeadline(); err != nil {
-				return nil, comps, err
+				return nil, 0, err
 			}
 		}
 		comps++
@@ -496,106 +475,14 @@ func (n *mergeNode) keyedMergeJoin(l, r sortedRun) ([]tuple.Tuple, int64, error)
 		case c > 0:
 			j++
 		default:
-			i2 := i + 1
-			for i2 < len(l.ts) && eqKeys(l.pres[i2], l.keys[i2], l.pres[i], l.keys[i]) {
-				comps++
-				i2++
-			}
-			j2 := j + 1
-			for j2 < len(r.ts) && eqKeys(r.pres[j2], r.keys[j2], r.pres[j], r.keys[j]) {
-				comps++
-				j2++
-			}
-			emitted := 0
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					if emitted%mergePollInterval == 0 {
-						if err := n.env.checkDeadline(); err != nil {
-							return nil, comps, err
-						}
-					}
-					emitted++
-					out = append(out, n.emit(l.ts[a], r.ts[b]))
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	return out, comps, nil
-}
-
-// advanceLegacy runs step 3 as the literal per-pair plan over retained
-// physical runs. It is both the Float-key fallback (no sound normalized
-// byte order exists under NaN semantics) and the reference
-// implementation the equivalence tests compare against.
-func (n *mergeNode) advanceLegacy(lSorted, rSorted []tuple.Tuple) ([]tuple.Tuple, float64, error) {
-	n.lruns = append(n.lruns, lSorted)
-	n.rruns = append(n.rruns, rSorted)
-
-	var out []tuple.Tuple
-	var mergeUnits float64
-	mergePair := func(l, r []tuple.Tuple) error {
-		matched, comps, err := n.mergeJoin(l, r)
-		if err != nil {
-			return err
-		}
-		if err := n.env.chargeChunked(comps, n.env.Store.Costs().TupleCompare); err != nil {
-			return err
-		}
-		mergeUnits += float64(len(l) + len(r))
-		out = append(out, matched...)
-		return nil
-	}
-	s := len(n.lruns) - 1
-	if n.plan == FullFulfillment {
-		// New-left × every right run, then old-left runs × new-right.
-		for i := 0; i <= s; i++ {
-			if err := mergePair(n.lruns[s], n.rruns[i]); err != nil {
-				return nil, 0, err
-			}
-		}
-		for i := 0; i < s; i++ {
-			if err := mergePair(n.lruns[i], n.rruns[s]); err != nil {
-				return nil, 0, err
-			}
-		}
-	} else {
-		if err := mergePair(n.lruns[s], n.rruns[s]); err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, mergeUnits, nil
-}
-
-// mergeJoin merges two key-sorted runs, emitting n.emit(l, r) for each
-// key-equal pair (group-wise cross product for duplicate keys). It
-// returns the matches and the number of comparisons performed.
-func (n *mergeNode) mergeJoin(l, r []tuple.Tuple) ([]tuple.Tuple, int64, error) {
-	var out []tuple.Tuple
-	var comps int64
-	i, j := 0, 0
-	for i < len(l) && j < len(r) {
-		if (i+j)%16 == 0 {
-			if err := n.env.checkDeadline(); err != nil {
-				return nil, comps, err
-			}
-		}
-		comps++
-		c := n.keyCmpLR(l[i], r[j])
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
 			// Find the extent of the equal-key groups on both sides.
 			i2 := i + 1
-			for i2 < len(l) && tuple.Compare(l[i2], l[i], n.lcols, n.lcols) == 0 {
+			for i2 < l.len() && eqKeys(l.pres[i2], l.keys[i2], l.pres[i], l.keys[i]) {
 				comps++
 				i2++
 			}
 			j2 := j + 1
-			for j2 < len(r) && tuple.Compare(r[j2], r[j], n.rcols, n.rcols) == 0 {
+			for j2 < r.len() && eqKeys(r.pres[j2], r.keys[j2], r.pres[j], r.keys[j]) {
 				comps++
 				j2++
 			}
@@ -607,63 +494,43 @@ func (n *mergeNode) mergeJoin(l, r []tuple.Tuple) ([]tuple.Tuple, int64, error) 
 				for b := j; b < j2; b++ {
 					if emitted%mergePollInterval == 0 {
 						if err := n.env.checkDeadline(); err != nil {
-							return nil, comps, err
+							return nil, 0, err
 						}
 					}
 					emitted++
-					out = append(out, n.emit(l[a], r[b]))
+					bk.add(l.perm[a], r.perm[b])
 				}
 			}
 			i, j = i2, j2
 		}
 	}
-	return out, comps, nil
+	if err := n.env.chargeChunked(comps, n.env.Store.Costs().TupleCompare); err != nil {
+		return nil, 0, err
+	}
+	out := tuple.NewBatchCap(n.schema, len(bk.l))
+	n.gather(out, l.b, r.b, bk)
+	return out, float64(l.len() + r.len()), nil
 }
 
-// sortNewRuns sorts both sides' new samples (step 2), caching normalized
-// keys on the fast path, and returns the runs plus the comparison count
-// to charge. The two sides are independent and charge-free, so they may
+// sortNewRuns sorts both sides' new samples (step 2) by their cached
+// normalized keys and returns the runs plus the comparison count to
+// charge. The two sides are independent and charge-free, so they may
 // run on two goroutines (runPar) when a sub-worker slot is free: the
 // comparison counts are deterministic functions of the inputs and are
 // charged by the caller afterwards, so scheduling cannot perturb the
-// simulation. Keys are built from the columnar stage samples lb/rb when
-// available (byte-identical to the tuple path).
-func (n *mergeNode) sortNewRuns(newL, newR []tuple.Tuple, lb, rb *tuple.Batch) (lRun, rRun sortedRun, comps int64) {
-	if n.keyed {
-		var lres, rres sortx.KeyedResult
-		n.env.runPar(min(len(newL), len(newR)), func() {
-			lKeys := sideNormKeys(newL, lb, n.left.Schema(), n.lcols)
-			lres = sortx.SortKeyed(newL, lKeys, 0)
-		}, func() {
-			rKeys := sideNormKeys(newR, rb, n.right.Schema(), n.rcols)
-			rres = sortx.SortKeyed(newR, rKeys, 0)
-		})
-		return sortedRun{lres.Sorted, lres.Keys, makePres(lres.Keys)},
-			sortedRun{rres.Sorted, rres.Keys, makePres(rres.Keys)},
-			lres.Comparisons + rres.Comparisons
-	}
-	var lres, rres sortx.Result
-	n.env.runPar(min(len(newL), len(newR)), func() {
-		lres = sortx.Sort(newL, func(a, b tuple.Tuple) int {
-			return tuple.Compare(a, b, n.lcols, n.lcols)
-		}, 0)
+// simulation. The keys end up retained in the side's sortedRun for the
+// rest of the query, hence the allocating key builder.
+func (n *mergeNode) sortNewRuns(newL, newR *tuple.Batch) (lRun, rRun sortedRun, comps int64) {
+	var lc, rc int64
+	n.env.runPar(min(newL.Len(), newR.Len()), func() {
+		lRun, lc = sortRun(newL, n.lcols, n.widen)
 	}, func() {
-		rres = sortx.Sort(newR, func(a, b tuple.Tuple) int {
-			return tuple.Compare(a, b, n.rcols, n.rcols)
-		}, 0)
+		rRun, rc = sortRun(newR, n.rcols, n.widen)
 	})
-	return sortedRun{ts: lres.Sorted}, sortedRun{ts: rres.Sorted},
-		lres.Comparisons + rres.Comparisons
+	return lRun, rRun, lc + rc
 }
 
-// sideNormKeys builds one side's normalized keys, preferring the
-// columnar stage sample when the side is a columnar base stage. The
-// keys end up retained in the side's sortedRun for the rest of the
-// query, so this deliberately uses the allocating builders — pooling
-// here would let a later stage overwrite an earlier run's keys.
-func sideNormKeys(ts []tuple.Tuple, b *tuple.Batch, s *tuple.Schema, cols []int) [][]byte {
-	if b != nil {
-		return batchNormKeys(b, cols)
-	}
-	return buildNormKeys(ts, s, cols)
+func sortRun(b *tuple.Batch, cols []int, widen []bool) (sortedRun, int64) {
+	res := sortx.SortKeyedIdx(batchNormKeys(b, cols, widen), 0)
+	return sortedRun{b: b, perm: res.Perm, keys: res.Keys, pres: makePres(res.Keys)}, res.Comparisons
 }

@@ -27,57 +27,49 @@ func normKeyFixture(t *testing.T, n int) ([]tuple.Tuple, *tuple.Batch, *tuple.Sc
 	return ts, b, sch
 }
 
-// TestNormKeysIntoMatchesAllocating pins that the pooled builders
-// produce byte-identical keys to the allocating ones, across reuse
-// (shrinking and growing between calls) and both input forms.
+// TestNormKeysIntoMatchesAllocating pins that the pooled builder
+// produces byte-identical keys to the allocating one — and both the
+// keys tuple.AppendNormKey gives the materialized rows — across reuse
+// (shrinking and growing between calls).
 func TestNormKeysIntoMatchesAllocating(t *testing.T) {
 	var arena []byte
 	var keys [][]byte
 	for _, n := range []int{0, 1, 7, 100, 3, 250} {
-		ts, b, sch := normKeyFixture(t, n)
+		ts, b, _ := normKeyFixture(t, n)
 		for _, cols := range [][]int{nil, {1}, {1, 0}} {
-			want := buildNormKeys(ts, sch, cols)
-			arena, keys = buildNormKeysInto(arena, keys, ts, sch, cols)
+			want := batchNormKeys(b, cols, nil)
+			if len(want) != len(ts) {
+				t.Fatalf("n=%d cols=%v: allocating build has %d keys, want %d", n, cols, len(want), len(ts))
+			}
+			arena, keys = batchNormKeysInto(arena, keys, b, cols, nil)
 			if len(keys) != len(want) {
-				t.Fatalf("n=%d cols=%v: pooled row build has %d keys, want %d", n, cols, len(keys), len(want))
+				t.Fatalf("n=%d cols=%v: pooled build has %d keys, want %d", n, cols, len(keys), len(want))
 			}
 			for i := range want {
 				if !bytes.Equal(keys[i], want[i]) {
 					t.Fatalf("n=%d cols=%v key %d: pooled %x, allocating %x", n, cols, i, keys[i], want[i])
 				}
-			}
-			arena, keys = batchNormKeysInto(arena, keys, b, cols)
-			if len(keys) != len(want) {
-				t.Fatalf("n=%d cols=%v: pooled batch build has %d keys, want %d", n, cols, len(keys), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(keys[i], want[i]) {
-					t.Fatalf("n=%d cols=%v batch key %d: pooled %x, allocating %x", n, cols, i, keys[i], want[i])
+				if row := tuple.AppendNormKey(nil, ts[i], cols, nil); !bytes.Equal(want[i], row) {
+					t.Fatalf("n=%d cols=%v key %d: batch %x, row %x", n, cols, i, want[i], row)
 				}
 			}
 		}
 	}
 }
 
-// TestNormKeysIntoSteadyStateZeroAllocs pins the satellite's pooling
-// claim at the source: once the scratch has warmed to the stage size,
-// rebuilding a stage's normalized keys allocates nothing — neither for
-// the arena nor for the [][]byte headers — on the row path and the
-// columnar path alike.
+// TestNormKeysIntoSteadyStateZeroAllocs pins the pooling claim at the
+// source: once the scratch has warmed to the stage size, rebuilding a
+// stage's normalized keys allocates nothing — neither for the arena nor
+// for the [][]byte headers.
 func TestNormKeysIntoSteadyStateZeroAllocs(t *testing.T) {
-	ts, b, sch := normKeyFixture(t, 200)
+	_, b, _ := normKeyFixture(t, 200)
 	var arena []byte
 	var keys [][]byte
-	arena, keys = buildNormKeysInto(arena, keys, ts, sch, nil) // warm
+	arena, keys = batchNormKeysInto(arena, keys, b, nil, nil) // warm
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		arena, keys = buildNormKeysInto(arena, keys, ts, sch, nil)
+		arena, keys = batchNormKeysInto(arena, keys, b, nil, nil)
 	}); allocs != 0 {
-		t.Errorf("warm row key build allocates: %v allocs/op", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		arena, keys = batchNormKeysInto(arena, keys, b, nil)
-	}); allocs != 0 {
-		t.Errorf("warm batch key build allocates: %v allocs/op", allocs)
+		t.Errorf("warm key build allocates: %v allocs/op", allocs)
 	}
 }

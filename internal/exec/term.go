@@ -74,38 +74,32 @@ func (te *TermExec) SetAggregate(col string) error {
 	return nil
 }
 
-// Advance evaluates one more stage of the term. Feeds must already hold
-// the stage's samples (Feed.LoadStage).
+// Advance evaluates one more stage of the term and folds the stage's
+// output columns into the SUM and GROUP-BY accumulators. Feeds must
+// already hold the stage's samples (Feed.LoadStage).
 func (te *TermExec) Advance(stage int) error {
 	out, err := te.Root.Advance(stage)
 	if err != nil {
 		return err
 	}
 	if te.aggCol >= 0 {
-		for _, t := range out {
-			v := numeric(t[te.aggCol])
+		// The column is Int or Float (SetAggregate); the other slice is nil.
+		for _, x := range out.Ints(te.aggCol) {
+			v := float64(x)
+			te.aggSum += v
+			te.aggSqSum += v * v
+		}
+		for _, v := range out.Floats(te.aggCol) {
 			te.aggSum += v
 			te.aggSqSum += v * v
 		}
 	}
 	if te.groupCol >= 0 {
-		for _, t := range out {
-			te.groups[t[te.groupCol]]++
+		for i := 0; i < out.Len(); i++ {
+			te.groups[out.Value(te.groupCol, i)]++
 		}
 	}
 	return nil
-}
-
-// numeric converts an Int/Float column value to float64.
-func numeric(v tuple.Value) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	default:
-		return 0
-	}
 }
 
 // PointsEvaluated returns the number of points of the term's point
@@ -129,11 +123,7 @@ func (te *TermExec) PointsEvaluated() float64 {
 	for s := 0; s < nStages; s++ {
 		prod := 1.0
 		for _, f := range te.feeds {
-			ts, err := f.StageTuples(s)
-			if err != nil {
-				return total
-			}
-			prod *= float64(len(ts))
+			prod *= float64(f.StageLen(s))
 		}
 		total += prod
 	}

@@ -10,15 +10,15 @@ import (
 // column slices: it fills out[i] with the predicate's value on row i of
 // the batch (len(out) must equal b.Len()). For every schema and
 // predicate accepted by Compile, CompileBatch accepts too and the two
-// agree row-for-row — the batch executor leans on that equivalence to
-// keep the vectorized scan observationally identical to the scalar one.
+// agree row-for-row: the executors scan with this form, the exact
+// reference evaluator (EvalExact) with the scalar one.
 type BatchPred func(b *tuple.Batch, out []bool)
 
 // CompileBatch binds p to schema as a vectorized predicate. Comparisons
 // between Int columns and integer constants (the workload's hot shape)
 // compile to tight typed loops; every other comparison falls back to a
 // per-row kernel with exactly Compile's CompareValues semantics
-// (including NaN-equals-everything and int/float promotion).
+// (float order and int/float promotion included).
 func CompileBatch(p Pred, schema *tuple.Schema) (BatchPred, error) {
 	switch q := p.(type) {
 	case True, *True:

@@ -116,7 +116,7 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 		var out []tuple.Tuple
 		for _, t := range in {
 			p := t.Project(idx)
-			k := p.Key(sch, nil)
+			k := hashKey(p, nil, nil)
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, p)
@@ -146,14 +146,15 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 			return nil, err
 		}
 		// Hash join on the left side for the exact evaluator.
+		widen := tuple.JoinWiden(ls, lcols, rs, rcols)
 		index := map[string][]tuple.Tuple{}
 		for _, lt := range l {
-			k := lt.Project(lcols).Key(ls, nil)
+			k := hashKey(lt, lcols, widen)
 			index[k] = append(index[k], lt)
 		}
 		var out []tuple.Tuple
 		for _, rt := range r {
-			k := rt.Project(rcols).Key(rs, nil)
+			k := hashKey(rt, rcols, widen)
 			for _, lt := range index[k] {
 				out = append(out, lt.Concat(rt))
 			}
@@ -172,7 +173,7 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 		seen := map[string]bool{}
 		var out []tuple.Tuple
 		for _, t := range append(append([]tuple.Tuple{}, l...), r...) {
-			k := t.Key(nil, nil)
+			k := hashKey(t, nil, nil)
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, t)
@@ -191,11 +192,11 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 		}
 		drop := map[string]bool{}
 		for _, t := range r {
-			drop[t.Key(nil, nil)] = true
+			drop[hashKey(t, nil, nil)] = true
 		}
 		var out []tuple.Tuple
 		for _, t := range l {
-			if !drop[t.Key(nil, nil)] {
+			if !drop[hashKey(t, nil, nil)] {
 				out = append(out, t)
 			}
 		}
@@ -216,11 +217,11 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 			}
 			keep := map[string]bool{}
 			for _, t := range next {
-				keep[t.Key(nil, nil)] = true
+				keep[hashKey(t, nil, nil)] = true
 			}
 			var out []tuple.Tuple
 			for _, t := range cur {
-				if keep[t.Key(nil, nil)] {
+				if keep[hashKey(t, nil, nil)] {
 					out = append(out, t)
 				}
 			}
@@ -231,6 +232,14 @@ func evalExact(e Expr, rels Relations) ([]tuple.Tuple, error) {
 	default:
 		return nil, fmt.Errorf("ra: unknown expression type %T", e)
 	}
+}
+
+// hashKey identifies t's values on cols (all columns when nil) for map
+// lookups: the normalized key of internal/tuple, so the exact evaluator
+// equates exactly the values CompareValues — and the sampled executors'
+// byte keys — equate.
+func hashKey(t tuple.Tuple, cols []int, widen []bool) string {
+	return string(tuple.AppendNormKey(nil, t, cols, widen))
 }
 
 // JoinCols resolves join conditions to column index lists on each side.

@@ -213,7 +213,7 @@ func TestTermsInclusionExclusionProperty(t *testing.T) {
 			var ts []tuple.Tuple
 			for len(ts) < n {
 				tp := tuple.Tuple{int64(rng.Intn(15)), int64(rng.Intn(50))}
-				k := tp.Key(sch, nil)
+				k := hashKey(tp, nil, nil)
 				if seen[k] {
 					continue
 				}
@@ -278,7 +278,7 @@ func TestTermsProjectionWrapProperty(t *testing.T) {
 			var ts []tuple.Tuple
 			for len(ts) < n {
 				tp := tuple.Tuple{int64(rng.Intn(12)), int64(rng.Intn(40))}
-				k := tp.Key(sch, nil)
+				k := hashKey(tp, nil, nil)
 				if seen[k] {
 					continue
 				}

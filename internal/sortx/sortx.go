@@ -8,12 +8,11 @@
 // in-memory slices in this reproduction. Comparison counts are returned
 // so callers can charge CPU cost to the session clock in one step.
 //
-// Two entry points share one generic core: Sort orders tuples with a
-// caller comparator; SortKeyed orders tuples by cached normalized byte
-// keys (internal/tuple), comparing with bytes.Compare instead of
-// re-walking []Value columns. Both perform identical comparator-call
-// sequences for equivalent orderings, so charged comparison counts are
-// independent of the entry point used.
+// The executors sort through SortKeyedIdx: an argsort over cached
+// normalized byte keys (internal/tuple), comparing with bytes.Compare
+// instead of re-walking columns. The generic core's comparator-call
+// sequence depends only on the ordering, so charged comparison counts
+// are those of sorting the tuples themselves.
 package sortx
 
 import (
@@ -31,13 +30,6 @@ const DefaultRunSize = 512
 
 // Cmp orders two tuples; negative means a < b.
 type Cmp func(a, b tuple.Tuple) int
-
-// Result reports the outcome of an external sort.
-type Result struct {
-	Sorted      []tuple.Tuple // sorted copy of the input
-	Comparisons int64         // comparisons performed (for cost charging)
-	Runs        int           // number of initial runs generated
-}
 
 // counter tallies comparator invocations without a capturing closure
 // per run: one counter per sort call, its method bound once.
@@ -100,43 +92,9 @@ func sortCore[T any](items []T, cmp func(a, b T) int, runSize int) ([]T, int64, 
 	return out, c.n, len(runs)
 }
 
-// Sort externally sorts ts with the comparator, using runs of at most
-// runSize tuples (DefaultRunSize when runSize <= 0). The input slice is
-// not modified.
-func Sort(ts []tuple.Tuple, cmp Cmp, runSize int) Result {
-	if runSize <= 0 {
-		runSize = DefaultRunSize
-	}
-	sorted, comps, runs := sortCore(ts, cmp, runSize)
-	return Result{Sorted: sorted, Comparisons: comps, Runs: runs}
-}
-
-// KeyedResult reports the outcome of a key-cached external sort: the
-// sorted tuples with their normalized keys aligned index-for-index.
-type KeyedResult struct {
-	Sorted      []tuple.Tuple
-	Keys        [][]byte
-	Comparisons int64
-	Runs        int
-}
-
-// idxPool recycles the index arenas of SortKeyed (the hot path of the
-// executors: one argsort per side per stage).
+// idxPool recycles the index arenas of SortKeyedIdx (the hot path of
+// the executors: one argsort per side per stage).
 var idxPool = sync.Pool{New: func() any { return []int32(nil) }}
-
-// SortKeyed externally sorts ts by the cached normalized keys (keys[i]
-// is ts[i]'s key; len(keys) must equal len(ts)), comparing keys with
-// bytes.Compare. The comparator-call sequence — and therefore the
-// comparison count — is identical to Sort with a comparator that orders
-// tuples the way the keys do. Neither input slice is modified.
-func SortKeyed(ts []tuple.Tuple, keys [][]byte, runSize int) KeyedResult {
-	r := SortKeyedIdx(keys, runSize)
-	outT := make([]tuple.Tuple, len(r.Perm))
-	for i, j := range r.Perm {
-		outT[i] = ts[j]
-	}
-	return KeyedResult{Sorted: outT, Keys: r.Keys, Comparisons: r.Comparisons, Runs: r.Runs}
-}
 
 // IdxResult reports the outcome of an argsort by cached keys: the
 // sorting permutation (Perm[i] is the input index of sorted rank i)
@@ -148,10 +106,10 @@ type IdxResult struct {
 	Runs        int
 }
 
-// SortKeyedIdx argsorts the normalized keys and returns the sorting
-// permutation, for callers that gather columnar data instead of row
-// tuples. The comparator-call sequence is identical to SortKeyed over
-// the same keys. The input slice is not modified.
+// SortKeyedIdx externally argsorts the normalized keys (runs of at most
+// runSize keys, DefaultRunSize when runSize <= 0) and returns the
+// sorting permutation; callers gather their columnar data through it.
+// The input slice is not modified.
 func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	if runSize <= 0 {
 		runSize = DefaultRunSize

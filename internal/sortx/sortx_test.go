@@ -1,6 +1,7 @@
 package sortx
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,19 +19,47 @@ func intTuples(vals ...int64) []tuple.Tuple {
 
 func byFirst(a, b tuple.Tuple) int { return tuple.CompareValues(a[0], b[0]) }
 
+// result is a sorted copy of the input with the sort's accounting.
+type result struct {
+	Sorted      []tuple.Tuple
+	Comparisons int64
+	Runs        int
+}
+
+// sortTuples sorts single-column tuples the way the executors sort a
+// run: SortKeyedIdx over the tuples' normalized keys, then a gather
+// through the permutation. It also checks that Keys comes back aligned
+// with Perm.
+func sortTuples(t *testing.T, ts []tuple.Tuple, runSize int) result {
+	t.Helper()
+	keys := make([][]byte, len(ts))
+	for i, tp := range ts {
+		keys[i] = tuple.AppendNormKey(nil, tp, nil, nil)
+	}
+	r := SortKeyedIdx(keys, runSize)
+	out := result{Comparisons: r.Comparisons, Runs: r.Runs}
+	for i, j := range r.Perm {
+		if !bytes.Equal(r.Keys[i], keys[j]) {
+			t.Fatalf("Keys[%d] is not the key of input %d", i, j)
+		}
+		out.Sorted = append(out.Sorted, ts[j])
+	}
+	return out
+}
+
 func TestSortEmptyAndSingle(t *testing.T) {
-	r := Sort(nil, byFirst, 4)
+	r := sortTuples(t, nil, 4)
 	if len(r.Sorted) != 0 || r.Runs != 0 || r.Comparisons != 0 {
 		t.Errorf("empty sort: %+v", r)
 	}
-	r = Sort(intTuples(7), byFirst, 4)
+	r = sortTuples(t, intTuples(7), 4)
 	if len(r.Sorted) != 1 || r.Runs != 1 {
 		t.Errorf("single sort: %+v", r)
 	}
 }
 
 func TestSortSingleRun(t *testing.T) {
-	r := Sort(intTuples(3, 1, 2), byFirst, 10)
+	r := sortTuples(t, intTuples(3, 1, 2), 10)
 	if r.Runs != 1 {
 		t.Errorf("runs = %d, want 1", r.Runs)
 	}
@@ -49,7 +78,7 @@ func TestSortMultiRunMerge(t *testing.T) {
 		vals[i] = rng.Int63n(100)
 	}
 	in := intTuples(vals...)
-	r := Sort(in, byFirst, 64)
+	r := sortTuples(t, in, 64)
 	if r.Runs != 16 {
 		t.Errorf("runs = %d, want 16", r.Runs)
 	}
@@ -80,7 +109,7 @@ func TestSortMultiRunMerge(t *testing.T) {
 
 func TestSortDefaultRunSize(t *testing.T) {
 	in := intTuples(make([]int64, 2*DefaultRunSize+1)...)
-	r := Sort(in, byFirst, 0)
+	r := sortTuples(t, in, 0)
 	if r.Runs != 3 {
 		t.Errorf("default run size: runs = %d, want 3", r.Runs)
 	}
@@ -93,7 +122,7 @@ func TestSortPropertyMatchesReference(t *testing.T) {
 		for i, v := range raw {
 			vals[i] = int64(v)
 		}
-		r := Sort(intTuples(vals...), byFirst, runSize)
+		r := sortTuples(t, intTuples(vals...), runSize)
 		if len(r.Sorted) != len(vals) {
 			return false
 		}
@@ -113,8 +142,8 @@ func TestSortComparisonsScaleNLogN(t *testing.T) {
 		}
 		return intTuples(vals...)
 	}
-	small := Sort(mk(1000), byFirst, 128).Comparisons
-	large := Sort(mk(4000), byFirst, 128).Comparisons
+	small := sortTuples(t, mk(1000), 128).Comparisons
+	large := sortTuples(t, mk(4000), 128).Comparisons
 	// 4x input should cost between ~4x and ~7x comparisons (n log n).
 	if large < 3*small || large > 9*small {
 		t.Errorf("comparison growth suspicious: %d -> %d", small, large)

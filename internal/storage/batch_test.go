@@ -49,15 +49,13 @@ func buildPair(t *testing.T, n int) (rowRel, batchRel *Relation, st *Store) {
 	return rowRel, batchRel, st
 }
 
-// TestBatchRelationMirrorsRowRelation pins the dual-mode contract: a
-// batch-backed relation exposes exactly the same blocks, tuples and
-// read charges as a row-backed relation loaded with the same data.
+// TestBatchRelationMirrorsRowRelation pins the two load APIs against
+// the one representation: a relation loaded row by row through Append
+// exposes exactly the same blocks, tuples and read charges as one bulk
+// loaded through AppendBatch with the same data.
 func TestBatchRelationMirrorsRowRelation(t *testing.T) {
 	const n = 21 // bf=8 → 2 full blocks + 1 partial
 	rowRel, batchRel, st := buildPair(t, n)
-	if !batchRel.Columnar() || rowRel.Columnar() {
-		t.Fatal("Columnar flags wrong")
-	}
 	if rowRel.NumBlocks() != batchRel.NumBlocks() || rowRel.NumTuples() != batchRel.NumTuples() {
 		t.Fatalf("shape mismatch: blocks %d/%d tuples %d/%d",
 			rowRel.NumBlocks(), batchRel.NumBlocks(), rowRel.NumTuples(), batchRel.NumTuples())
@@ -67,7 +65,7 @@ func TestBatchRelationMirrorsRowRelation(t *testing.T) {
 	for i := 0; i < rowRel.NumBlocks(); i++ {
 		before := clk.Now()
 		c0 := st.Counters()
-		rb, err := rowRel.ReadBlockIn(st, i, dl)
+		rb, err := rowRel.ReadBlockBatchIn(st, i, dl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,22 +76,18 @@ func TestBatchRelationMirrorsRowRelation(t *testing.T) {
 		}
 		afterBatch := clk.Now() - before - afterRow
 		if afterRow != afterBatch {
-			t.Errorf("block %d: row read charged %v, batch read charged %v", i, afterRow, afterBatch)
+			t.Errorf("block %d: Append-loaded read charged %v, AppendBatch-loaded read charged %v", i, afterRow, afterBatch)
 		}
 		c1 := st.Counters()
-		if c1.BlocksRead-c0.BlocksRead != 2 || c1.TuplesRead-c0.TuplesRead != 2*int64(len(rb)) {
+		if c1.BlocksRead-c0.BlocksRead != 2 || c1.TuplesRead-c0.TuplesRead != 2*int64(rb.Len()) {
 			t.Errorf("block %d: counter deltas diverge: %+v -> %+v", i, c0, c1)
 		}
-		if len(rb) != bb.Len() {
-			t.Fatalf("block %d: %d row tuples vs %d batch rows", i, len(rb), bb.Len())
+		if rb.Len() != bb.Len() {
+			t.Fatalf("block %d: %d vs %d rows", i, rb.Len(), bb.Len())
 		}
-		mb, err := batchRel.ReadBlockIn(st, i, dl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range rb {
-			if tuple.Compare(rb[j], bb.Row(j), nil, nil) != 0 || tuple.Compare(rb[j], mb[j], nil, nil) != 0 {
-				t.Fatalf("block %d row %d: %v vs %v vs %v", i, j, rb[j], bb.Row(j), mb[j])
+		for j := 0; j < rb.Len(); j++ {
+			if tuple.Compare(rb.Row(j), bb.Row(j), nil, nil) != 0 {
+				t.Fatalf("block %d row %d: %v vs %v", i, j, rb.Row(j), bb.Row(j))
 			}
 		}
 	}
@@ -118,7 +112,7 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	if _, err := batchRel.ReadBlockBatchIn(st, 99, vclock.Unarmed()); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	// Row appends land in the batch storage and extend the block range.
+	// Row appends land in the same storage and extend the block range.
 	if err := batchRel.Append(tuple.Tuple{int64(1000), "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +123,7 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	if all[5][0].(int64) != 1000 {
 		t.Fatalf("appended row not visible: %v", all[5])
 	}
-	// A row-mode relation accepts AppendBatch by degrading to rows.
+	// And the other order: a relation started with Append takes AppendBatch.
 	rowRel, err := st.CreateRelation("rows2", batchTestSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -144,17 +138,23 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	if err := rowRel.AppendBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if rowRel.Columnar() {
-		t.Fatal("row relation became columnar")
-	}
 	if got := rowRel.NumTuples(); got != 3 {
 		t.Fatalf("NumTuples = %d", got)
 	}
-	if _, err := batchRel.ReadBlockBatchIn(st, 0, vclock.Unarmed()); err != nil {
+	blk, err := rowRel.ReadBlockBatchIn(st, 0, vclock.Unarmed())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rowRel.ReadBlockBatchIn(st, 0, vclock.Unarmed()); err == nil {
-		t.Fatal("ReadBlockBatchIn on row relation succeeded")
+	if ids := blk.Ints(0); len(ids) != 3 || ids[0] != -1 || ids[2] != 8 {
+		t.Fatalf("mixed-load block 0 ids = %v", ids)
+	}
+	// A batch of another schema is refused.
+	other, err := tuple.MakeBatch(tuple.MustSchema(tuple.Column{Name: "id", Type: tuple.Int}), 1, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rowRel.AppendBatch(other); err == nil {
+		t.Fatal("AppendBatch accepted a schema mismatch")
 	}
 }
 

@@ -51,20 +51,11 @@ func (r *Relation) Save(w io.Writer) error {
 	}
 	buf := make([]byte, 0, r.schema.TupleSize())
 	for i := 0; i < r.numBlocksLocked(); i++ {
-		var blk []tuple.Tuple
-		switch {
-		case r.backing != nil:
-			b, err := r.backing.readBlock(i)
-			if err != nil {
-				return err
-			}
-			blk = b
-		case r.batch != nil:
-			blk = r.blockBatchLocked(i).Rows()
-		default:
-			blk = r.blocks[i]
+		blk, err := r.blockLocked(i)
+		if err != nil {
+			return err
 		}
-		for _, t := range blk {
+		for _, t := range blk.Rows() {
 			buf = t.Encode(r.schema, buf[:0])
 			if _, err := bw.Write(buf); err != nil {
 				return err
@@ -215,11 +206,7 @@ type filePager struct {
 	bf      int // tuples per block
 }
 
-func (p *filePager) numBlocks() int {
-	return int((p.ntuples + int64(p.bf) - 1) / int64(p.bf))
-}
-
-func (p *filePager) readBlock(i int) ([]tuple.Tuple, error) {
+func (p *filePager) readBlock(i int) (*tuple.Batch, error) {
 	start := int64(i) * int64(p.bf)
 	count := int64(p.bf)
 	if start+count > p.ntuples {
@@ -233,7 +220,7 @@ func (p *filePager) readBlock(i int) ([]tuple.Tuple, error) {
 	if _, err := p.f.ReadAt(buf, p.offset+start*ts); err != nil {
 		return nil, err
 	}
-	out := make([]tuple.Tuple, 0, count)
+	out := tuple.NewBatchCap(p.schema, int(count))
 	rest := buf
 	for j := int64(0); j < count; j++ {
 		t, remaining, err := tuple.Decode(p.schema, rest)
@@ -241,7 +228,9 @@ func (p *filePager) readBlock(i int) ([]tuple.Tuple, error) {
 			return nil, err
 		}
 		rest = remaining
-		out = append(out, t)
+		if err := out.AppendRow(t); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -282,9 +271,9 @@ func (s *Store) OpenRelationFile(name, path string) (*Relation, error) {
 // in-memory relations).
 func (r *Relation) Close() error {
 	r.mu.RLock()
-	p, ok := r.backing.(*filePager)
+	p := r.backing
 	r.mu.RUnlock()
-	if ok {
+	if p != nil {
 		return p.f.Close()
 	}
 	return nil

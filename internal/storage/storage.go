@@ -230,7 +230,7 @@ func (s *Store) CreateRelation(name string, schema *tuple.Schema) (*Relation, er
 	if bf < 1 {
 		return nil, fmt.Errorf("storage: tuple size %d exceeds block size %d", schema.TupleSize(), s.blockSize)
 	}
-	r := &Relation{name: name, schema: schema, store: s.root, blockingFactor: bf}
+	r := &Relation{name: name, schema: schema, store: s.root, blockingFactor: bf, batch: tuple.NewBatch(schema)}
 	s.cat.mu.Lock()
 	defer s.cat.mu.Unlock()
 	if _, dup := s.cat.relations[name]; dup {
@@ -273,22 +273,14 @@ func (s *Store) DropRelation(name string) error {
 	return nil
 }
 
-// pager supplies a relation's blocks. The default is the in-memory heap
-// (blocks [][]tuple.Tuple); file-backed relations read blocks on demand
-// (see OpenRelationFile in persist.go).
-type pager interface {
-	// readBlock returns the tuples of block i (no cost accounting —
-	// the Relation layer charges).
-	readBlock(i int) ([]tuple.Tuple, error)
-	// numBlocks returns the block count.
-	numBlocks() int
-}
-
 // Relation is a heap file: an ordered list of blocks, each holding up to
-// blockingFactor tuples. Blocks are the cluster-sampling units. A
-// relation is shared by every session of its store; its data is guarded
-// by an RW lock (appends/loads exclude readers), while read charges are
-// routed to the session doing the reading (ReadBlockIn).
+// blockingFactor tuples. Blocks are the cluster-sampling units. The data
+// is one columnar batch — block i holds rows [i*bf, min((i+1)*bf, n)) —
+// or, for a file-backed relation, is decoded block by block on demand
+// (see OpenRelationFile in persist.go). A relation is shared by every
+// session of its store; its data is guarded by an RW lock
+// (appends/loads exclude readers), while read charges are routed to the
+// session doing the reading (ReadBlockBatchIn).
 type Relation struct {
 	name           string
 	schema         *tuple.Schema
@@ -296,23 +288,9 @@ type Relation struct {
 	blockingFactor int
 
 	mu        sync.RWMutex
-	blocks    [][]tuple.Tuple
+	batch     *tuple.Batch
 	numTuples int64
-	backing   pager // nil for in-memory relations
-
-	// batch, when non-nil, is the relation's columnar storage: block i
-	// holds rows [i*bf, min((i+1)*bf, n)) of one big Batch. A relation
-	// is either row-backed (blocks), file-backed (backing) or
-	// batch-backed; AppendBatch on a fresh relation selects batch mode.
-	batch *tuple.Batch
-}
-
-// Columnar reports whether the relation stores its data as a columnar
-// batch, enabling the zero-copy ReadBlockBatchIn read path.
-func (r *Relation) Columnar() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.batch != nil
+	backing   *filePager // nil for in-memory relations
 }
 
 // Name returns the relation name.
@@ -332,24 +310,18 @@ func (r *Relation) NumBlocks() int {
 }
 
 func (r *Relation) numBlocksLocked() int {
-	if r.backing != nil {
-		return r.backing.numBlocks()
-	}
-	if r.batch != nil {
-		return (r.batch.Len() + r.blockingFactor - 1) / r.blockingFactor
-	}
-	return len(r.blocks)
+	return int((r.numTuples + int64(r.blockingFactor) - 1) / int64(r.blockingFactor))
 }
 
-// blockBatchLocked returns block i of a batch-backed relation as a
-// zero-copy view.
-func (r *Relation) blockBatchLocked(i int) *tuple.Batch {
-	lo := i * r.blockingFactor
-	hi := lo + r.blockingFactor
-	if n := r.batch.Len(); hi > n {
-		hi = n
+// blockLocked returns block i: a zero-copy view of the in-memory batch,
+// or the decoded block of a file-backed relation.
+func (r *Relation) blockLocked(i int) (*tuple.Batch, error) {
+	if r.backing != nil {
+		return r.backing.readBlock(i)
 	}
-	return r.batch.Slice(lo, hi)
+	lo := i * r.blockingFactor
+	hi := min(lo+r.blockingFactor, r.batch.Len())
+	return r.batch.Slice(lo, hi), nil
 }
 
 // NumTuples returns the total number of tuples.
@@ -368,55 +340,23 @@ func (r *Relation) Append(t tuple.Tuple) error {
 	if r.backing != nil {
 		return fmt.Errorf("storage: relation %s is file-backed (read-only)", r.name)
 	}
-	if err := t.Validate(r.schema); err != nil {
+	if err := r.batch.AppendRow(t); err != nil {
 		return fmt.Errorf("storage: append to %s: %w", r.name, err)
 	}
-	if r.batch != nil {
-		if err := r.batch.AppendRow(t); err != nil {
-			return fmt.Errorf("storage: append to %s: %w", r.name, err)
-		}
-		r.numTuples++
-		return nil
-	}
-	if n := len(r.blocks); n == 0 || len(r.blocks[n-1]) >= r.blockingFactor {
-		r.blocks = append(r.blocks, make([]tuple.Tuple, 0, r.blockingFactor))
-	}
-	last := len(r.blocks) - 1
-	r.blocks[last] = append(r.blocks[last], t)
 	r.numTuples++
 	return nil
 }
 
-// AppendBatch bulk-loads a columnar batch. On a fresh relation it
-// selects columnar storage (one typed-column copy, no per-row work and
-// no boxed values — the fast path the workload generators use); on a
-// relation that already holds row blocks it degrades to row-wise
-// appends. The resulting block layout is identical either way: rows
-// fill blocks sequentially in batch order. Like Append, loading does
-// not charge the clock.
+// AppendBatch bulk-loads a columnar batch: one typed-column copy, no
+// per-row work and no boxed values — the path the workload generators
+// use. The block layout is that of row-wise Append: rows fill blocks
+// sequentially in batch order. Like Append, loading does not charge the
+// clock.
 func (r *Relation) AppendBatch(b *tuple.Batch) error {
-	if !r.schema.Equal(b.Schema()) {
-		return fmt.Errorf("storage: append batch to %s: schema mismatch", r.name)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.backing != nil {
 		return fmt.Errorf("storage: relation %s is file-backed (read-only)", r.name)
-	}
-	if len(r.blocks) > 0 {
-		for i := 0; i < b.Len(); i++ {
-			t := b.Row(i)
-			if n := len(r.blocks); n == 0 || len(r.blocks[n-1]) >= r.blockingFactor {
-				r.blocks = append(r.blocks, make([]tuple.Tuple, 0, r.blockingFactor))
-			}
-			last := len(r.blocks) - 1
-			r.blocks[last] = append(r.blocks[last], t)
-		}
-		r.numTuples += int64(b.Len())
-		return nil
-	}
-	if r.batch == nil {
-		r.batch = tuple.NewBatch(r.schema)
 	}
 	if err := r.batch.AppendBatch(b); err != nil {
 		return fmt.Errorf("storage: append batch to %s: %w", r.name, err)
@@ -435,70 +375,33 @@ func (r *Relation) AppendAll(ts []tuple.Tuple) error {
 	return nil
 }
 
-// ReadBlock returns the tuples of block i, charging one block-read to
-// the creating store's clock. It honours the deadline: if dl has expired
-// the read fails with ErrDeadline before any cost is charged (the
-// paper's interrupt aborts the stage at the next block boundary).
-func (r *Relation) ReadBlock(i int, dl vclock.Deadline) ([]tuple.Tuple, error) {
-	return r.ReadBlockIn(r.store, i, dl)
+// ReadBlock returns block i, charging one block-read to the creating
+// store's clock (see ReadBlockBatchIn).
+func (r *Relation) ReadBlock(i int, dl vclock.Deadline) (*tuple.Batch, error) {
+	return r.ReadBlockBatchIn(r.store, i, dl)
 }
 
-// ReadBlockIn is ReadBlock with the charge routed to the given store
-// view — the way a query session reads shared relations without its
-// physical-work accounting bleeding into other sessions.
-func (r *Relation) ReadBlockIn(sess *Store, i int, dl vclock.Deadline) ([]tuple.Tuple, error) {
-	if dl.Expired() {
-		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
-	}
-	r.mu.RLock()
-	if i < 0 || i >= r.numBlocksLocked() {
-		n := r.numBlocksLocked()
-		r.mu.RUnlock()
-		return nil, fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
-	}
-	var blk []tuple.Tuple
-	switch {
-	case r.backing != nil:
-		var err error
-		blk, err = r.backing.readBlock(i)
-		if err != nil {
-			r.mu.RUnlock()
-			return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, err)
-		}
-	case r.batch != nil:
-		// Slow path for batch-backed relations (row materialization);
-		// the executors use ReadBlockBatchIn instead.
-		blk = r.blockBatchLocked(i).Rows()
-	default:
-		blk = r.blocks[i]
-	}
-	r.mu.RUnlock()
-	sess.clock.Charge(sess.costs.BlockRead)
-	sess.counters.BlocksRead++
-	sess.counters.TuplesRead += int64(len(blk))
-	return blk, nil
-}
-
-// ReadBlockBatchIn returns block i of a batch-backed relation as a
-// zero-copy columnar view, with exactly the same deadline handling,
-// clock charge and counter increments as ReadBlockIn — the two read
-// paths are interchangeable as far as the simulation can observe.
+// ReadBlockBatchIn returns block i as a read-only columnar batch,
+// charging one block-read to the given store view — the way a query
+// session reads shared relations without its physical-work accounting
+// bleeding into other sessions. It honours the deadline: if dl has
+// expired the read fails with ErrDeadline before any cost is charged
+// (the paper's interrupt aborts the stage at the next block boundary).
 func (r *Relation) ReadBlockBatchIn(sess *Store, i int, dl vclock.Deadline) (*tuple.Batch, error) {
 	if dl.Expired() {
 		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
 	}
 	r.mu.RLock()
-	if r.batch == nil {
-		r.mu.RUnlock()
-		return nil, fmt.Errorf("storage: relation %s is not batch-backed", r.name)
-	}
-	if i < 0 || i >= r.numBlocksLocked() {
-		n := r.numBlocksLocked()
+	n := r.numBlocksLocked()
+	if i < 0 || i >= n {
 		r.mu.RUnlock()
 		return nil, fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
 	}
-	blk := r.blockBatchLocked(i)
+	blk, err := r.blockLocked(i)
 	r.mu.RUnlock()
+	if err != nil {
+		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, err)
+	}
 	sess.clock.Charge(sess.costs.BlockRead)
 	sess.counters.BlocksRead++
 	sess.counters.TuplesRead += int64(blk.Len())
@@ -510,11 +413,11 @@ func (r *Relation) ReadBlockBatchIn(sess *Store, i int, dl vclock.Deadline) (*tu
 // the deadline at block granularity.
 func (r *Relation) Scan(dl vclock.Deadline, fn func(tuple.Tuple) error) error {
 	for i := 0; i < r.NumBlocks(); i++ {
-		ts, err := r.ReadBlock(i, dl)
+		blk, err := r.ReadBlock(i, dl)
 		if err != nil {
 			return err
 		}
-		for _, t := range ts {
+		for _, t := range blk.Rows() {
 			if err := fn(t); err != nil {
 				return err
 			}
@@ -523,27 +426,21 @@ func (r *Relation) Scan(dl vclock.Deadline, fn func(tuple.Tuple) error) error {
 	return nil
 }
 
-// AllTuples returns every tuple without charging the clock; intended for
-// tests, exact (non-sampled) evaluation and data export.
+// AllTuples returns every tuple as rows without charging the clock;
+// intended for tests, exact (non-sampled) evaluation and data export.
 func (r *Relation) AllTuples() []tuple.Tuple {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.batch != nil {
+	if r.backing == nil {
 		return r.batch.Rows()
 	}
 	out := make([]tuple.Tuple, 0, r.numTuples)
 	for i := 0; i < r.numBlocksLocked(); i++ {
-		var blk []tuple.Tuple
-		if r.backing != nil {
-			b, err := r.backing.readBlock(i)
-			if err != nil {
-				return out
-			}
-			blk = b
-		} else {
-			blk = r.blocks[i]
+		blk, err := r.backing.readBlock(i)
+		if err != nil {
+			return out
 		}
-		out = append(out, blk...)
+		out = append(out, blk.Rows()...)
 	}
 	return out
 }

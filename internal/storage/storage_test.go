@@ -101,8 +101,8 @@ func TestReadBlockChargesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 5 {
-		t.Errorf("block 0 holds %d tuples, want 5", len(ts))
+	if ts.Len() != 5 {
+		t.Errorf("block 0 holds %d tuples, want 5", ts.Len())
 	}
 	if got := clk.Now() - before; got != s.Costs().BlockRead {
 		t.Errorf("charge = %v, want %v", got, s.Costs().BlockRead)
@@ -112,8 +112,8 @@ func TestReadBlockChargesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 2 {
-		t.Errorf("last block holds %d tuples, want 2", len(ts))
+	if ts.Len() != 2 {
+		t.Errorf("last block holds %d tuples, want 2", ts.Len())
 	}
 	c := s.Counters()
 	if c.BlocksRead != 2 || c.TuplesRead != 7 {
@@ -350,8 +350,8 @@ func TestOpenRelationFileOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blk) != 5 {
-		t.Errorf("block 0 = %d tuples", len(blk))
+	if blk.Len() != 5 {
+		t.Errorf("block 0 = %d tuples", blk.Len())
 	}
 	if clk.Now()-before != s2.Costs().BlockRead {
 		t.Error("file-backed read must charge a block read")
@@ -361,8 +361,8 @@ func TestOpenRelationFileOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(last) != 137%5 {
-		t.Errorf("last block = %d tuples, want %d", len(last), 137%5)
+	if last.Len() != 137%5 {
+		t.Errorf("last block = %d tuples, want %d", last.Len(), 137%5)
 	}
 	if _, err := fb.ReadBlock(fb.NumBlocks(), vclock.Unarmed()); err == nil {
 		t.Error("out-of-range read should fail")

@@ -1,17 +1,14 @@
 package tuple
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Batch is a column-oriented block of tuples: one typed slice per
-// schema column instead of a []Value per row. It is the unit the
-// batch-at-a-time executor moves around — relations store their data as
-// one big Batch, block reads hand out zero-copy Slice views, selection
-// evaluates predicates directly over the typed columns, and rows are
-// materialized to []Value form only where an operator genuinely needs
-// row access (join emission, aggregation output).
+// schema column instead of a []Value per row. It is the one physical
+// representation from storage to estimator — relations store their data
+// as one big Batch, block reads hand out zero-copy Slice views, every
+// operator consumes and produces batches (selection and merge outputs
+// are index gathers), and rows are materialized to []Value form only
+// for the exact reference evaluator and data export.
 //
 // A Batch obtained from Slice or Project is a view sharing the parent's
 // column storage; views must be treated as read-only. Appending to the
@@ -34,6 +31,36 @@ type colData struct {
 // NewBatch returns an empty batch for the schema.
 func NewBatch(s *Schema) *Batch {
 	return &Batch{schema: s, cols: make([]colData, len(s.cols))}
+}
+
+// NewBatchCap returns an empty batch with room for n rows. Columns of
+// one type are carved (capacity-clamped) out of a single allocation, so
+// the cost is independent of the column count.
+func NewBatchCap(s *Schema, n int) *Batch {
+	b := NewBatch(s)
+	var ni, nf, ns int
+	for _, c := range s.cols {
+		switch c.Type {
+		case Int:
+			ni++
+		case Float:
+			nf++
+		case String:
+			ns++
+		}
+	}
+	ints, floats, strs := make([]int64, ni*n), make([]float64, nf*n), make([]string, ns*n)
+	for i, c := range s.cols {
+		switch c.Type {
+		case Int:
+			b.cols[i].ints, ints = ints[:0:n], ints[n:]
+		case Float:
+			b.cols[i].floats, floats = floats[:0:n], floats[n:]
+		case String:
+			b.cols[i].strings, strs = strs[:0:n], strs[n:]
+		}
+	}
+	return b
 }
 
 // MakeBatch wraps pre-built column slices into a batch without copying.
@@ -189,58 +216,84 @@ func (b *Batch) fillRow(t Tuple, i int) {
 
 // Rows materializes every row, sharing one backing []Value arena.
 func (b *Batch) Rows() []Tuple {
-	return b.RowsAt(nil)
-}
-
-// RowsAt materializes the rows at the given indices (all rows when sel
-// is nil), sharing one backing []Value arena across the tuples.
-func (b *Batch) RowsAt(sel []int32) []Tuple {
-	n := b.n
-	if sel != nil {
-		n = len(sel)
-	}
-	if n == 0 {
+	if b.n == 0 {
 		return nil
 	}
 	w := len(b.cols)
-	arena := make([]Value, n*w)
-	out := make([]Tuple, n)
-	for i := 0; i < n; i++ {
-		row := i
-		if sel != nil {
-			row = int(sel[i])
-		}
-		t := arena[i*w : (i+1)*w : (i+1)*w]
-		b.fillRow(Tuple(t), row)
-		out[i] = Tuple(t)
+	arena := make([]Value, b.n*w)
+	out := make([]Tuple, b.n)
+	for i := range out {
+		out[i] = Tuple(arena[i*w : (i+1)*w : (i+1)*w])
+		b.fillRow(out[i], i)
 	}
 	return out
 }
 
+// Gather returns a new batch holding rows sel of b, in that order.
+func (b *Batch) Gather(sel []int32) *Batch {
+	out := NewBatchCap(b.schema, len(sel))
+	out.AppendJoined(b, sel, nil, nil)
+	return out
+}
+
+// AppendJoined appends len(lsel) rows to b: row i is row lsel[i] of l
+// followed — when r is non-nil — by row rsel[i] of r (b's schema is
+// then l's columns followed by r's, as from Schema.Concat).
+func (b *Batch) AppendJoined(l *Batch, lsel []int32, r *Batch, rsel []int32) {
+	appendRows(b.cols, l, lsel)
+	if r != nil {
+		appendRows(b.cols[len(l.cols):], r, rsel)
+	}
+	b.n += len(lsel)
+}
+
+// appendRows appends rows sel of src to dst, column by column.
+func appendRows(dst []colData, src *Batch, sel []int32) {
+	for c := range src.cols {
+		from, to := &src.cols[c], &dst[c]
+		switch {
+		case from.ints != nil:
+			for _, i := range sel {
+				to.ints = append(to.ints, from.ints[i])
+			}
+		case from.floats != nil:
+			for _, i := range sel {
+				to.floats = append(to.floats, from.floats[i])
+			}
+		case from.strings != nil:
+			for _, i := range sel {
+				to.strings = append(to.strings, from.strings[i])
+			}
+		}
+	}
+}
+
 // AppendNormKey appends the normalized sort key of row i over the given
 // columns (all columns when cols is nil) to dst — the typed-column
-// equivalent of Tuple.AppendNormKey, with identical encoding. The
-// caller must have checked CanNormalizeKeys.
-func (b *Batch) AppendNormKey(dst []byte, row int, cols []int) []byte {
+// equivalent of the Tuple AppendNormKey, with identical encoding.
+func (b *Batch) AppendNormKey(dst []byte, row int, cols []int, widen []bool) []byte {
 	if cols == nil {
 		for c := range b.cols {
-			dst = b.appendNormCol(dst, row, c)
+			dst = b.appendNormCol(dst, row, c, false)
 		}
 		return dst
 	}
-	for _, c := range cols {
-		dst = b.appendNormCol(dst, row, c)
+	for k, c := range cols {
+		dst = b.appendNormCol(dst, row, c, widen != nil && widen[k])
 	}
 	return dst
 }
 
-func (b *Batch) appendNormCol(dst []byte, row, c int) []byte {
+func (b *Batch) appendNormCol(dst []byte, row, c int, widen bool) []byte {
 	switch {
 	case b.cols[c].ints != nil:
-		return binary.BigEndian.AppendUint64(dst, uint64(b.cols[c].ints[row])^(1<<63))
-	case b.cols[c].strings != nil:
-		return appendNormString(dst, b.cols[c].strings[row])
+		if widen {
+			return appendNormFloat(dst, float64(b.cols[c].ints[row]))
+		}
+		return appendNormInt(dst, b.cols[c].ints[row])
+	case b.cols[c].floats != nil:
+		return appendNormFloat(dst, b.cols[c].floats[row])
 	default:
-		panic("tuple: Batch.AppendNormKey on unsupported column type")
+		return appendNormString(dst, b.cols[c].strings[row])
 	}
 }

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -118,11 +119,12 @@ func TestBatchNormKeyMatchesTuple(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "id", Type: Int},
 		Column{Name: "s", Type: String, Size: 10},
+		Column{Name: "f", Type: Float},
 	)
 	rows := []Tuple{
-		{int64(0), ""},
-		{int64(-1), "a\x00b"},
-		{int64(1 << 40), "plain"},
+		{int64(0), "", math.Copysign(0, -1)},
+		{int64(-1), "a\x00b", math.NaN()},
+		{int64(1 << 40), "plain", -2.5},
 	}
 	b := NewBatch(s)
 	for _, r := range rows {
@@ -130,12 +132,17 @@ func TestBatchNormKeyMatchesTuple(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, cols := range [][]int{nil, {0}, {1, 0}} {
-		for i, r := range rows {
-			want := AppendNormKey(nil, r, cols)
-			got := b.AppendNormKey(nil, i, cols)
-			if !bytes.Equal(got, want) {
-				t.Errorf("cols %v row %d: batch key %x != tuple key %x", cols, i, got, want)
+	for _, cols := range [][]int{nil, {0}, {1, 0}, {2, 0}} {
+		for _, widen := range [][]bool{nil, {false, true}} {
+			if len(cols) != 2 && widen != nil {
+				continue
+			}
+			for i, r := range rows {
+				want := AppendNormKey(nil, r, cols, widen)
+				got := b.AppendNormKey(nil, i, cols, widen)
+				if !bytes.Equal(got, want) {
+					t.Errorf("cols %v widen %v row %d: batch key %x != tuple key %x", cols, widen, i, got, want)
+				}
 			}
 		}
 	}
@@ -160,11 +167,27 @@ func TestBatchProjectAndRowsAt(t *testing.T) {
 	if got := pv.Row(2); Compare(got, Tuple{"r", int64(2)}, nil, nil) != 0 {
 		t.Errorf("projected row = %v", got)
 	}
-	sel := b.RowsAt([]int32{3, 0})
-	if len(sel) != 2 || sel[0][0].(int64) != 3 || sel[1][0].(int64) != 0 {
-		t.Errorf("RowsAt = %v", sel)
+	sel := b.Gather([]int32{3, 0}).Rows()
+	if len(sel) != 2 || sel[0][0].(int64) != 3 || sel[1][0].(int64) != 0 || sel[0][1].(float64) != 1.5 {
+		t.Errorf("Gather rows = %v", sel)
 	}
-	if b.RowsAt([]int32{}) != nil {
-		t.Error("RowsAt(empty) should be nil")
+	if g := b.Gather(nil); g.Len() != 0 || g.Rows() != nil {
+		t.Error("Gather(empty) should be an empty batch")
+	}
+	// AppendJoined: l∘r rows by index pairs, then left-only rows.
+	js, err := s.Concat(ps, "l", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewBatchCap(js, 2)
+	j.AppendJoined(b, []int32{1, 2}, pv, []int32{3, 0})
+	if got := j.Row(1); j.Len() != 2 || Compare(got, Tuple{int64(2), 1.0, "r", "r", int64(0)}, nil, nil) != 0 {
+		t.Errorf("joined row = %v (len %d)", got, j.Len())
+	}
+	l := NewBatchCap(s, 1)
+	l.AppendJoined(b, []int32{2}, nil, nil)
+	l.AppendJoined(b, []int32{0, 3}, nil, nil) // past the reserved capacity
+	if got := l.Rows(); len(got) != 3 || got[0][0].(int64) != 2 || got[2][0].(int64) != 3 {
+		t.Errorf("left-only rows = %v", got)
 	}
 }

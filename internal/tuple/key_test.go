@@ -2,50 +2,65 @@ package tuple
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// awkwardFloats are the values on which float key definitions diverge:
+// signed zeros, NaNs of either sign bit, infinities, denormals.
+var awkwardFloats = []float64{
+	math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Inf(-1), -math.MaxFloat64, -1.5, -1,
+	-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+	1, 1.5, math.MaxFloat64, math.Inf(1),
+}
+
+// TestCanNormalizeKeys pins that every column type normalizes: Float
+// keys too order and equate exactly as CompareValues does (−0 ≡ +0,
+// NaN ≡ NaN and lowest), alone and beside Int and String columns.
 func TestCanNormalizeKeys(t *testing.T) {
-	s := MustSchema(
-		Column{Name: "i", Type: Int},
-		Column{Name: "f", Type: Float},
-		Column{Name: "s", Type: String, Size: 8},
-	)
-	if !CanNormalizeKeys(s, []int{0, 2}) {
-		t.Error("int+string columns must normalize")
+	for _, a := range awkwardFloats {
+		for _, b := range awkwardFloats {
+			ta, tb := Tuple{int64(7), a, "s"}, Tuple{int64(7), b, "s"}
+			got := sign(bytes.Compare(AppendNormKey(nil, ta, nil, nil), AppendNormKey(nil, tb, nil, nil)))
+			if want := Compare(ta, tb, nil, nil); got != want {
+				t.Errorf("key order of %v vs %v = %d, Compare = %d", a, b, got, want)
+			}
+		}
 	}
-	if CanNormalizeKeys(s, []int{0, 1}) {
-		t.Error("float column must not normalize")
+	f := func(a, b float64) bool {
+		ka, kb := AppendNormKey(nil, Tuple{a}, nil, nil), AppendNormKey(nil, Tuple{b}, nil, nil)
+		return sign(bytes.Compare(ka, kb)) == CompareValues(a, b)
 	}
-	if CanNormalizeKeys(s, nil) {
-		t.Error("nil cols over a schema with a float column must not normalize")
-	}
-	allInt := MustSchema(Column{Name: "a", Type: Int}, Column{Name: "b", Type: Int})
-	if !CanNormalizeKeys(allInt, nil) {
-		t.Error("all-int schema must normalize on nil cols")
-	}
-	if CanNormalizeKeys(s, []int{99}) {
-		t.Error("out-of-range column must not normalize")
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
 	}
 }
 
+// TestKeysComparable pins cross-schema key comparability: same-typed
+// key pairs need no widening (string widths may differ — the encoding
+// is width-independent), and an Int column facing a Float column
+// encodes as a float on both sides, so the keys compare the way
+// CompareValues' int/float promotion does.
 func TestKeysComparable(t *testing.T) {
 	a := MustSchema(Column{Name: "x", Type: Int}, Column{Name: "y", Type: String, Size: 4})
-	b := MustSchema(Column{Name: "p", Type: String, Size: 9}, Column{Name: "q", Type: Int})
-	if !KeysComparable(a, []int{0}, b, []int{1}) {
-		t.Error("int vs int keys must be comparable")
+	b := MustSchema(Column{Name: "p", Type: String, Size: 9}, Column{Name: "q", Type: Int}, Column{Name: "f", Type: Float})
+	if w := JoinWiden(a, []int{0, 1}, b, []int{1, 0}); w != nil {
+		t.Errorf("int=int, string=string widened: %v", w)
 	}
-	if KeysComparable(a, []int{0}, b, []int{0}) {
-		t.Error("int vs string keys must not be comparable")
+	w := JoinWiden(a, []int{1, 0}, b, []int{0, 2})
+	if len(w) != 2 || w[0] || !w[1] {
+		t.Fatalf("string=string, int=float: widen = %v, want [false true]", w)
 	}
-	if KeysComparable(a, []int{0, 1}, b, []int{1}) {
-		t.Error("length mismatch must not be comparable")
-	}
-	// String widths may differ: the encoding is width-independent.
-	if !KeysComparable(a, []int{1}, b, []int{0}) {
-		t.Error("string keys of different widths must be comparable")
+	for _, x := range []int64{-3, 0, 2, 1 << 40} {
+		for _, y := range append([]float64{-3, 2, 2.5, 1 << 40}, awkwardFloats...) {
+			ka := AppendNormKey(nil, Tuple{x, "k"}, []int{1, 0}, w)
+			kb := AppendNormKey(nil, Tuple{"k", int64(0), y}, []int{0, 2}, w)
+			if got, want := sign(bytes.Compare(ka, kb)), CompareValues(x, y); got != want {
+				t.Errorf("int %d vs float %v: key order %d, CompareValues %d", x, y, got, want)
+			}
+		}
 	}
 }
 
@@ -57,8 +72,8 @@ func TestNormKeyMatchesCompare(t *testing.T) {
 		ta := Tuple{ai, as}
 		tb := Tuple{bi, bs}
 		cols := []int{1, 0} // string-major to stress cross-column boundaries
-		ka := AppendNormKey(nil, ta, cols)
-		kb := AppendNormKey(nil, tb, cols)
+		ka := AppendNormKey(nil, ta, cols, nil)
+		kb := AppendNormKey(nil, tb, cols, nil)
 		want := Compare(ta, tb, cols, cols)
 		return sign(bytes.Compare(ka, kb)) == sign(want)
 	}
@@ -74,8 +89,8 @@ func TestNormKeyEmbeddedNulBoundary(t *testing.T) {
 	// ("a", high) vs ("a\x00", low): column-wise "a" < "a\x00".
 	ta := Tuple{"a", int64(1 << 40)}
 	tb := Tuple{"a\x00", int64(-5)}
-	ka := AppendNormKey(nil, ta, nil)
-	kb := AppendNormKey(nil, tb, nil)
+	ka := AppendNormKey(nil, ta, nil, nil)
+	kb := AppendNormKey(nil, tb, nil, nil)
 	if bytes.Compare(ka, kb) >= 0 {
 		t.Errorf("embedded-NUL boundary broken: %q vs %q", ka, kb)
 	}
@@ -96,7 +111,7 @@ func TestNormKeyInjective(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, v := range vals {
-		k := string(AppendNormKey(nil, v, nil))
+		k := string(AppendNormKey(nil, v, nil, nil))
 		if j, dup := seen[k]; dup {
 			t.Errorf("tuples %d and %d collide on key %q", i, j, k)
 		}
@@ -112,7 +127,7 @@ func TestNormKeySortMatchesReference(t *testing.T) {
 	keys := make([][]byte, n)
 	for i := range ts {
 		ts[i] = Tuple{rng.Int63n(8) - 4, alphabet[rng.Intn(len(alphabet))]}
-		keys[i] = AppendNormKey(nil, ts[i], nil)
+		keys[i] = AppendNormKey(nil, ts[i], nil, nil)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -137,7 +152,7 @@ func TestNormKeySizeHint(t *testing.T) {
 		t.Errorf("hint = %d, want 8", h)
 	}
 	// A NUL-free string of exactly Size bytes must fit the hint.
-	k := AppendNormKey(nil, Tuple{int64(1), "0123456789"}, nil)
+	k := AppendNormKey(nil, Tuple{int64(1), "0123456789"}, nil, nil)
 	if len(k) > 8+12 {
 		t.Errorf("key len %d exceeds hint", len(k))
 	}

@@ -7,6 +7,7 @@
 package tuple
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -291,28 +292,25 @@ func indexByte(b []byte, c byte) int {
 }
 
 // CompareValues orders two values of the same column type. It returns
-// -1, 0 or +1. Mixed int/float comparisons promote to float64.
+// -1, 0 or +1. Mixed int/float comparisons promote to float64. Floats
+// order the way cmp.Compare does — −0 equals +0, NaN equals NaN and
+// sorts below every other value — which is the order (and equality) the
+// normalized keys of key.go encode.
 func CompareValues(a, b Value) int {
 	switch av := a.(type) {
 	case int64:
 		switch bv := b.(type) {
 		case int64:
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
+			return cmp.Compare(av, bv)
 		case float64:
-			return compareFloat(float64(av), bv)
+			return cmp.Compare(float64(av), bv)
 		}
 	case float64:
 		switch bv := b.(type) {
 		case float64:
-			return compareFloat(av, bv)
+			return cmp.Compare(av, bv)
 		case int64:
-			return compareFloat(av, float64(bv))
+			return cmp.Compare(av, float64(bv))
 		}
 	case string:
 		if bv, ok := b.(string); ok {
@@ -320,16 +318,6 @@ func CompareValues(a, b Value) int {
 		}
 	}
 	panic(fmt.Sprintf("tuple: incomparable values %T and %T", a, b))
-}
-
-func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // Compare orders two tuples lexicographically over the given column
@@ -360,41 +348,6 @@ func Compare(a, b Tuple, colsA, colsB []int) int {
 		}
 	}
 	return 0
-}
-
-// Key returns a compact string key identifying the tuple's values on the
-// given columns (all columns when cols is nil). Keys are suitable for
-// map-based deduplication: distinct value lists yield distinct keys.
-func (t Tuple) Key(s *Schema, cols []int) string {
-	var sb strings.Builder
-	emit := func(i int) {
-		switch v := t[i].(type) {
-		case int64:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(v)^(1<<63))
-			sb.WriteByte('i')
-			sb.Write(buf[:])
-		case float64:
-			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-			sb.WriteByte('f')
-			sb.Write(buf[:])
-		case string:
-			sb.WriteByte('s')
-			sb.WriteString(v)
-			sb.WriteByte(0)
-		}
-	}
-	if cols == nil {
-		for i := range t {
-			emit(i)
-		}
-	} else {
-		for _, i := range cols {
-			emit(i)
-		}
-	}
-	return sb.String()
 }
 
 // Project returns a new tuple holding the values at the given indices.

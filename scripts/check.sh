@@ -1,21 +1,15 @@
 #!/usr/bin/env bash
-# Repo-wide CI gate: formatting, vet, build, race tests, and the
-# simulated-determinism golden. Run from anywhere; optional flags:
-#
-#   scripts/check.sh          # the standard gate
-#   scripts/check.sh -perf    # additionally diff host perf against the
-#                             # committed BENCH_exec.json baseline
-#                             # (meaningful on the baseline machine only)
+# Repo-wide CI gate: formatting, vet, build, race tests, the
+# simulated-determinism goldens, the tcqd loopback goldens, and the
+# benchmark module's own tests and smoke run. Run from anywhere; takes
+# no arguments. Host performance is measured by `bash benchmark/run.sh`
+# (see benchmark/README.md), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-run_perf=0
-for arg in "$@"; do
-  case "$arg" in
-    -perf) run_perf=1 ;;
-    *) echo "usage: scripts/check.sh [-perf]" >&2; exit 2 ;;
-  esac
-done
+if [ $# -ne 0 ]; then
+  echo "usage: scripts/check.sh" >&2
+  exit 2
+fi
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)
@@ -47,139 +41,60 @@ go test -race -count=1 \
   ./internal/stats ./internal/exec ./internal/core ./internal/bench \
   ./internal/catalog ./internal/server ./internal/client
 
-# The experiment tables are a deterministic function of the seed: any
-# change to the executor that perturbs the sequence of simulated-clock
-# charges shows up as a diff here. Host-side performance work must keep
-# this byte-identical (the "(N trials/row, X.Xs wall)" line is wall
-# time and is filtered out).
-echo "== determinism golden (fig5.2, 8 trials)"
-got=$(go run ./cmd/tcqbench -exp fig5.2 -trials 8 | grep -v 'trials/row')
-if ! diff <(cat testdata/golden_fig52_t8.txt) <(echo "$got"); then
-  echo "simulated results diverged from testdata/golden_fig52_t8.txt" >&2
-  exit 1
-fi
-
-# The stage trace is deterministic too: the same seed must produce a
-# byte-identical JSON-lines trace (field order is fixed by the struct
-# definitions, durations are integer nanoseconds, and tcqbench replays
-# collectors in experiment → variant → trial order).
-echo "== trace determinism golden (fig5.2, 8 trials)"
-trace_tmp=$(mktemp)
-trap 'rm -f "$trace_tmp"' EXIT
-go run ./cmd/tcqbench -exp fig5.2 -trials 8 -trace "$trace_tmp" > /dev/null
-if ! diff testdata/golden_trace_fig52_t8.jsonl "$trace_tmp"; then
-  echo "stage trace diverged from testdata/golden_trace_fig52_t8.jsonl" >&2
-  exit 1
-fi
-
-# The pure-join figure exercises the single-term path (batched merge,
-# bucket joins, per-side sorts) that fig5.2's intersection does not
-# cover schema-wise; keep its table and trace golden too.
-echo "== determinism goldens (fig5.3, 8 trials)"
-got=$(go run ./cmd/tcqbench -exp fig5.3 -trials 8 | grep -v 'trials/row')
-if ! diff <(cat testdata/golden_fig53_t8.txt) <(echo "$got"); then
-  echo "simulated results diverged from testdata/golden_fig53_t8.txt" >&2
-  exit 1
-fi
-go run ./cmd/tcqbench -exp fig5.3 -trials 8 -trace "$trace_tmp" > /dev/null
-if ! diff testdata/golden_trace_fig53_t8.jsonl "$trace_tmp"; then
-  echo "stage trace diverged from testdata/golden_trace_fig53_t8.jsonl" >&2
-  exit 1
-fi
-
-# Parallel evaluation must be invisible in the output: lane
-# record/replay (terms) and gated charge-free fan-out (sub-term)
-# guarantee byte-identical tables AND traces for any worker count.
-# Re-run all four goldens with 4 workers; fig5.2 and fig5.3 are
-# single-term queries, so this exercises the sub-term tier, which
-# before this gate ran fully serially.
-echo "== parallel determinism goldens (fig5.2 + fig5.3, -parallel 4)"
-got=$(go run ./cmd/tcqbench -exp fig5.2 -trials 8 -parallel 4 | grep -v 'trials/row')
-if ! diff <(cat testdata/golden_fig52_t8.txt) <(echo "$got"); then
-  echo "-parallel 4 table diverged from testdata/golden_fig52_t8.txt" >&2
-  exit 1
-fi
-go run ./cmd/tcqbench -exp fig5.2 -trials 8 -parallel 4 -trace "$trace_tmp" > /dev/null
-if ! diff testdata/golden_trace_fig52_t8.jsonl "$trace_tmp"; then
-  echo "-parallel 4 stage trace diverged from testdata/golden_trace_fig52_t8.jsonl" >&2
-  exit 1
-fi
-got=$(go run ./cmd/tcqbench -exp fig5.3 -trials 8 -parallel 4 | grep -v 'trials/row')
-if ! diff <(cat testdata/golden_fig53_t8.txt) <(echo "$got"); then
-  echo "-parallel 4 table diverged from testdata/golden_fig53_t8.txt" >&2
-  exit 1
-fi
-go run ./cmd/tcqbench -exp fig5.3 -trials 8 -parallel 4 -trace "$trace_tmp" > /dev/null
-if ! diff testdata/golden_trace_fig53_t8.jsonl "$trace_tmp"; then
-  echo "-parallel 4 stage trace diverged from testdata/golden_trace_fig53_t8.jsonl" >&2
-  exit 1
-fi
-
-# Calibration auditing rides the tracer chain and inherits its
-# read-only contract: with -calib enabled, the table AND the stage
-# trace must stay byte-identical to the plain goldens (serially and
-# with -parallel 4), and the calibration report itself is deterministic
-# — same seed, same report, any worker count.
-echo "== calibration goldens (fig5.2, 8 trials, serial + -parallel 4)"
-calib_tmp=$(mktemp)
-trap 'rm -f "$trace_tmp" "$calib_tmp"' EXIT
-got=$(go run ./cmd/tcqbench -exp fig5.2 -trials 8 -calib "$calib_tmp" -trace "$trace_tmp" | grep -v -e 'trials/row' -e '^wrote ')
-if ! diff <(cat testdata/golden_fig52_t8.txt) <(echo "$got"); then
-  echo "table diverged from testdata/golden_fig52_t8.txt with -calib enabled" >&2
-  exit 1
-fi
-if ! diff testdata/golden_trace_fig52_t8.jsonl "$trace_tmp"; then
-  echo "stage trace diverged from testdata/golden_trace_fig52_t8.jsonl with -calib enabled" >&2
-  exit 1
-fi
-if ! diff testdata/golden_calib_fig52_t8.txt "$calib_tmp"; then
-  echo "calibration report diverged from testdata/golden_calib_fig52_t8.txt" >&2
-  exit 1
-fi
-got=$(go run ./cmd/tcqbench -exp fig5.2 -trials 8 -parallel 4 -calib "$calib_tmp" -trace "$trace_tmp" | grep -v -e 'trials/row' -e '^wrote ')
-if ! diff <(cat testdata/golden_fig52_t8.txt) <(echo "$got"); then
-  echo "-parallel 4 table diverged from testdata/golden_fig52_t8.txt with -calib enabled" >&2
-  exit 1
-fi
-if ! diff testdata/golden_trace_fig52_t8.jsonl "$trace_tmp"; then
-  echo "-parallel 4 stage trace diverged from testdata/golden_trace_fig52_t8.jsonl with -calib enabled" >&2
-  exit 1
-fi
-if ! diff testdata/golden_calib_fig52_t8.txt "$calib_tmp"; then
-  echo "-parallel 4 calibration report diverged from testdata/golden_calib_fig52_t8.txt" >&2
-  exit 1
-fi
-
-# The multi-figure calibration report is the acceptance surface for the
-# paper's statistical promise: realized CI coverage must sit within the
-# Wilson interval of the nominal level on every figure workload (the
-# golden's per-shape verdicts are all "ok").
-echo "== calibration report golden (fig5.1 + fig5.2 + fig5.3, 8 trials)"
-go run ./cmd/tcqbench -exp fig5.1-1000,fig5.1-5000,fig5.2,fig5.3 -trials 8 -calib "$calib_tmp" > /dev/null
-if ! diff testdata/golden_calib_t8.txt "$calib_tmp"; then
-  echo "calibration report diverged from testdata/golden_calib_t8.txt" >&2
-  exit 1
-fi
-
-# The sample-catalog reuse report is deterministic the same way: every
-# trial builds its own seeded catalog, runs the shape cold (miss) and
-# warm (hit), and the reduced table must be byte-identical at any trial
-# parallelism. Note the golden sections above all run with the catalog
-# disabled — their continued byte-identity is the standing proof that
-# shipping the catalog feature did not perturb the default engine path.
-echo "== catalog reuse golden (fig5.1 + fig5.2 + fig5.3, 8 trials, serial + -parallel 4)"
-cat_tmp=$(mktemp)
-trap 'rm -f "$trace_tmp" "$calib_tmp" "$cat_tmp"' EXIT
-go run ./cmd/tcqbench -exp fig5.1-1000,fig5.1-5000,fig5.2,fig5.3 -trials 8 -catalog "$cat_tmp" > /dev/null
-if ! diff testdata/golden_catalog_t8.txt "$cat_tmp"; then
-  echo "catalog reuse report diverged from testdata/golden_catalog_t8.txt" >&2
-  exit 1
-fi
-go run ./cmd/tcqbench -exp fig5.1-1000,fig5.1-5000,fig5.2,fig5.3 -trials 8 -parallel 4 -catalog "$cat_tmp" > /dev/null
-if ! diff testdata/golden_catalog_t8.txt "$cat_tmp"; then
-  echo "-parallel 4 catalog reuse report diverged from testdata/golden_catalog_t8.txt" >&2
-  exit 1
-fi
+# Everything tcqbench prints is a deterministic function of the seed, so
+# every output has a golden and one loop checks them all. Each row of
+# the table below is one tcqbench run at 8 trials: the experiments, an
+# extra flag, and the golden for each output the run is checked against
+# — the table on stdout (minus the wall-time and "wrote" lines), the
+# -trace JSON-lines stage trace, the -calib calibration report, the
+# -catalog reuse report. "-" means: flag not given / output not asked for.
+#
+# What the rows pin. Any executor change that perturbs the sequence of
+# simulated-clock charges shows up in the tables and traces (fig5.2 is
+# an intersection, fig5.3 the pure join; both are single-term queries,
+# so their -parallel=4 rows exercise the sub-term tier). Parallel
+# evaluation is invisible in every output. Calibration auditing rides
+# the tracer chain read-only — table AND trace stay byte-identical with
+# -calib on — and its report is itself deterministic, every shape
+# verdict "ok" on the multi-figure report. The sample-catalog reuse
+# report is byte-identical at any parallelism, and every other row runs
+# with the catalog disabled: the standing proof that the feature did not
+# perturb the default engine path.
+echo "== determinism goldens (tables, traces, calibration, catalog; serial and -parallel=4)"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/tcqbench" ./cmd/tcqbench
+figs=fig5.1-1000,fig5.1-5000,fig5.2,fig5.3
+while read -r exps flag table trace calib catalog; do
+  args=(-exp "$exps" -trials 8)
+  [ "$flag" = - ] || args+=("$flag")
+  for out in trace calib catalog; do
+    [ "${!out}" = - ] || args+=("-$out" "$tmp/$out.out")
+  done
+  "$tmp/tcqbench" "${args[@]}" > "$tmp/stdout"
+  grep -v -e 'trials/row' -e '^wrote ' "$tmp/stdout" > "$tmp/table.out" || true
+  for out in table trace calib catalog; do
+    [ "${!out}" = - ] && continue
+    if ! diff "testdata/${!out}" "$tmp/$out.out"; then
+      echo "tcqbench ${args[*]}: $out diverged from testdata/${!out}" >&2
+      exit 1
+    fi
+  done
+done <<EOF
+fig5.2 -           golden_fig52_t8.txt -                           -                         -
+fig5.2 -           -                   golden_trace_fig52_t8.jsonl -                         -
+fig5.2 -parallel=4 golden_fig52_t8.txt -                           -                         -
+fig5.2 -parallel=4 -                   golden_trace_fig52_t8.jsonl -                         -
+fig5.3 -           golden_fig53_t8.txt -                           -                         -
+fig5.3 -           -                   golden_trace_fig53_t8.jsonl -                         -
+fig5.3 -parallel=4 golden_fig53_t8.txt -                           -                         -
+fig5.3 -parallel=4 -                   golden_trace_fig53_t8.jsonl -                         -
+fig5.2 -           golden_fig52_t8.txt golden_trace_fig52_t8.jsonl golden_calib_fig52_t8.txt -
+fig5.2 -parallel=4 golden_fig52_t8.txt golden_trace_fig52_t8.jsonl golden_calib_fig52_t8.txt -
+$figs  -           -                   -                           golden_calib_t8.txt       -
+$figs  -           -                   -                           -                         golden_catalog_t8.txt
+$figs  -parallel=4 -                   -                           -                         golden_catalog_t8.txt
+EOF
 
 # The network service composes the same deterministic pieces: a tcqd
 # on a simulated machine answers equal requests with equal seeds
@@ -189,9 +104,8 @@ fi
 # the \connect input line, which non-interactive tcqsh does not echo);
 # the SIGTERM at the end doubles as a graceful-drain smoke.
 echo "== tcqd loopback smoke (deterministic serve golden)"
-serve_dir=$(mktemp -d)
+serve_dir=$tmp
 serve_log="$serve_dir/tcqd.log"
-trap 'rm -f "$trace_tmp" "$calib_tmp" "$cat_tmp"; rm -rf "$serve_dir"' EXIT
 go build -o "$serve_dir/tcqd" ./cmd/tcqd
 "$serve_dir/tcqd" -addr 127.0.0.1:0 -gen "select orders 20000 2000" > "$serve_log" 2>&1 &
 serve_pid=$!
@@ -243,15 +157,13 @@ if ! diff testdata/golden_spans_smoke.txt <(echo "$spans"); then
   exit 1
 fi
 
-# The CI perf diff is a catastrophic-regression tripwire, not a precise
-# meter: at 8 trials on a shared box, run-to-run ns/trial noise can
-# exceed 30% (the tentpole's batch-path wins were 3.7–5.9x, far above
-# any tolerance here). For careful same-machine comparisons run
-# tcqbench -perf with more trials and the default -perftol 10.
-if [ "$run_perf" = 1 ]; then
-  echo "== host perf vs BENCH_exec.json (tolerance 50%)"
-  go run ./cmd/tcqbench -perf -exp fig5.1-1000,fig5.1-5000,fig5.2,fig5.3,perf-join-scale -trials 8 \
-    -perfout '' -perfbase BENCH_exec.json -perftol 50
-fi
+# The benchmark is a module of its own (benchmark/go.mod), so the
+# `go test ./...` above does not reach it: vet and test it here, then
+# run every workload untraced and traced in smoke size — its walk of
+# Engine.Count's stage loop must still compile against internal/exec and
+# still equal Count bit for bit.
+echo "== benchmark module (vet, test, smoke)"
+(cd benchmark && go vet . && go test .)
+bash benchmark/run.sh -smoke > "$tmp/bench_smoke.out" || { cat "$tmp/bench_smoke.out" >&2; exit 1; }
 
 echo "OK"

@@ -3,8 +3,8 @@
 // tracer's Enabled() gate skips all record construction), and the
 // collecting path should stay within a small constant factor. The
 // executor-level guard (join/8 ns/op and allocs/op) lives in
-// internal/exec's perf benchmarks and the tcqbench -perf gate against
-// BENCH_exec.json.
+// internal/exec's perf benchmarks; the benchmark's trace_overhead_frac
+// (benchmark/README.md) measures the same end to end.
 //
 //	go test -bench=TraceOverhead -benchtime=200x
 package tcq_test
