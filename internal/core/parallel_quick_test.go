@@ -168,3 +168,47 @@ func TestParallelEquivalenceQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParallelEquivalenceAboveFloor covers what the quick property's
+// 8-second quotas no longer reach: the term tier only spawns goroutines
+// for stages that load at least exec's subParMin (512) tuples from some
+// relation, and paper-sized stages stay well below that. A generous
+// quota on multi-term expressions drives stages over the floor, where
+// the lanes really run concurrently; serial, 2 and 8 workers must still
+// agree on every observable, stage trace included.
+func TestParallelEquivalenceAboveFloor(t *testing.T) {
+	const floor = 512 // exec.subParMin
+	r1, r2 := &ra.Base{Name: "r1"}, &ra.Base{Name: "r2"}
+	sel := &ra.Select{Input: r2, Pred: &ra.Cmp{Left: ra.Col{Name: "a"}, Op: ra.Lt, Right: ra.Const{Value: int64(1500)}}}
+	for _, e := range []ra.Expr{
+		&ra.Difference{Left: r1, Right: r2},
+		&ra.Union{Left: r1, Right: sel},
+	} {
+		c := exprCase{Expr: e, Seed: 5}
+		col := trace.NewCollector()
+		if _, err := NewEngine(buildCaseStore(t)).Count(e, Options{
+			Quota: 400 * time.Second, Seed: c.Seed, Tracer: col, Parallelism: 1,
+			Initial: timectrl.Initials{Select: 1, Join: 0.1, Project: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		above := 0
+		for _, st := range col.Trace().Stages {
+			for _, rel := range st.Relations {
+				if rel.Tuples >= floor {
+					above++
+					break
+				}
+			}
+		}
+		if above == 0 {
+			t.Fatalf("%s: no stage loaded %d tuples from a relation; raise the quota", e, floor)
+		}
+		serial := fingerprintOn(t, buildCaseStore(t), c, 1, Overrun, 400*time.Second)
+		for _, workers := range []int{2, 8} {
+			if got := fingerprintOn(t, buildCaseStore(t), c, workers, Overrun, 400*time.Second); got != serial {
+				t.Errorf("%s workers %d diverged above the floor:\nserial: %s\n   got: %s", e, workers, serial, got)
+			}
+		}
+	}
+}

@@ -17,6 +17,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"tcq/internal/exec"
@@ -142,6 +143,10 @@ type Model struct {
 	defaults Coefficients
 	fits     map[key]*fit
 	adaptive bool
+	// seenBase is PredictStage's scratch: the base relations already
+	// charged in the current evaluation. Reused across calls so a probe
+	// of the planner's binary search allocates nothing.
+	seenBase []string
 }
 
 // NewModel creates a cost model starting from the given default
@@ -198,8 +203,6 @@ type SelPlusFunc func(node *exec.NodeInfo, newPoints float64) float64
 // Prediction is the outcome of evaluating QCOST for one candidate f.
 type Prediction struct {
 	Duration time.Duration
-	// NewOut predicts each node's new output tuples (by node id).
-	NewOut map[int]float64
 }
 
 // PredictStage evaluates QCOST(f, SEL⁺): the predicted duration of the
@@ -208,20 +211,18 @@ type Prediction struct {
 // appearing in several terms (or twice in one term) are read once; the
 // read cost is charged on first encounter.
 func (m *Model) PredictStage(roots []*exec.NodeInfo, f float64, selPlus SelPlusFunc) Prediction {
-	p := Prediction{NewOut: make(map[int]float64)}
 	seconds := 0.0
-	seenBase := map[string]bool{}
+	m.seenBase = m.seenBase[:0]
 	for _, root := range roots {
-		_, s := m.predictNode(root, f, selPlus, seenBase, p.NewOut)
+		_, s := m.predictNode(root, f, selPlus)
 		seconds += s
 	}
-	p.Duration = time.Duration(seconds * float64(time.Second))
-	return p
+	return Prediction{Duration: time.Duration(seconds * float64(time.Second))}
 }
 
 // predictNode returns (predicted new output tuples, predicted seconds)
 // for one node and its subtree.
-func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc, seenBase map[string]bool, outMap map[int]float64) (float64, float64) {
+func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc) (float64, float64) {
 	switch n.Op {
 	case exec.OpBase:
 		newTuples := f * float64(n.BaseTuples)
@@ -232,16 +233,15 @@ func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc, se
 			readUnits = newTuples
 		}
 		sec := 0.0
-		if !seenBase[n.BaseName] {
-			seenBase[n.BaseName] = true
+		if !slices.Contains(m.seenBase, n.BaseName) {
+			m.seenBase = append(m.seenBase, n.BaseName)
 			sec = m.Coef(n.ID, exec.OpBase, exec.StepRead)*readUnits +
 				m.Coef(n.ID, exec.OpBase, exec.StepInit)
 		}
-		outMap[n.ID] = newTuples
 		return newTuples, sec
 
 	case exec.OpSelect:
-		in, sec := m.predictNode(n.Children[0], f, selPlus, seenBase, outMap)
+		in, sec := m.predictNode(n.Children[0], f, selPlus)
 		sel := selPlus(n, in)
 		out := sel * in
 		comps := float64(n.PredComparisons)
@@ -251,11 +251,10 @@ func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc, se
 		sec += m.Coef(n.ID, exec.OpSelect, exec.StepScan)*in*comps +
 			m.Coef(n.ID, exec.OpSelect, exec.StepOutput)*out +
 			m.Coef(n.ID, exec.OpSelect, exec.StepInit)
-		outMap[n.ID] = out
 		return out, sec
 
 	case exec.OpProject:
-		in, sec := m.predictNode(n.Children[0], f, selPlus, seenBase, outMap)
+		in, sec := m.predictNode(n.Children[0], f, selPlus)
 		sel := selPlus(n, in)
 		out := sel * in
 		sec += m.Coef(n.ID, exec.OpProject, exec.StepWrite)*in +
@@ -263,12 +262,11 @@ func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc, se
 			m.Coef(n.ID, exec.OpProject, exec.StepScan)*in +
 			m.Coef(n.ID, exec.OpProject, exec.StepOutput)*out +
 			m.Coef(n.ID, exec.OpProject, exec.StepInit)
-		outMap[n.ID] = out
 		return out, sec
 
 	case exec.OpJoin, exec.OpIntersect:
-		newL, secL := m.predictNode(n.Children[0], f, selPlus, seenBase, outMap)
-		newR, secR := m.predictNode(n.Children[1], f, selPlus, seenBase, outMap)
+		newL, secL := m.predictNode(n.Children[0], f, selPlus)
+		newR, secR := m.predictNode(n.Children[1], f, selPlus)
 		sec := secL + secR
 		cumL := float64(n.Children[0].CumOut)
 		cumR := float64(n.Children[1].CumOut)
@@ -292,7 +290,6 @@ func (m *Model) predictNode(n *exec.NodeInfo, f float64, selPlus SelPlusFunc, se
 			m.Coef(n.ID, n.Op, exec.StepMerge)*mergeUnits +
 			m.Coef(n.ID, n.Op, exec.StepOutput)*out +
 			m.Coef(n.ID, n.Op, exec.StepInit)
-		outMap[n.ID] = out
 		return out, sec
 
 	default:

@@ -14,7 +14,6 @@
 package exec
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -430,23 +429,19 @@ func (f *Feed) LoadStage(indices []int) error {
 	}
 	stage := tuple.NewBatchCap(f.Rel.Schema(), len(indices)*per)
 	for _, i := range indices {
-		bi := i
+		// The block to read and the block-relative row range to keep: the
+		// whole block under cluster sampling, one tuple under SRS.
+		bi, lo, hi := i, 0, bf
 		if f.srs {
-			bi = i / bf
+			bi, lo = i/bf, i%bf
+			hi = lo + 1
 		}
-		blk, err := f.Rel.ReadBlockBatchIn(f.env.Store, bi, f.env.deadline)
+		n, err := f.Rel.AppendBlockIn(f.env.Store, stage, bi, lo, hi, f.env.deadline)
 		if err != nil {
 			return err
 		}
-		if f.srs {
-			off := i % bf
-			if off >= blk.Len() {
-				return fmt.Errorf("exec: tuple index %d out of range in %s", i, f.Rel.Name())
-			}
-			blk = blk.Slice(off, off+1)
-		}
-		if err := stage.AppendBatch(blk); err != nil {
-			return err
+		if lo >= n {
+			return fmt.Errorf("exec: tuple index %d out of range in %s", i, f.Rel.Name())
 		}
 	}
 	f.env.record(f.nodeID, OpBase, StepRead, float64(len(indices)), clock.Now()-t0)
@@ -810,7 +805,7 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	keys := res.Keys
 	for i := 0; i < len(keys); {
 		j := i + 1
-		for j < len(keys) && bytes.Equal(keys[j], keys[i]) {
+		for j < len(keys) && eqKeys(res.Pres[j], keys[j], res.Pres[i], keys[i]) {
 			j++
 		}
 		prior := n.occupancy[string(keys[i])]

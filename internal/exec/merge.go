@@ -35,7 +35,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
 
 	"tcq/internal/sortx"
 	"tcq/internal/tuple"
@@ -48,7 +47,9 @@ const mergePollInterval = 1024
 
 // sortedRun is one stage's new sample in key order: rank i of the run is
 // row perm[i] of b, keys[i] its normalized key and pres[i] the key's
-// abbreviation. The batch itself is never reordered.
+// 8-byte abbreviation (sortx.IdxResult.Pres: unequal abbreviations
+// decide a comparison, equal ones fall back to the full keys). The
+// batch itself is never reordered.
 type sortedRun struct {
 	b    *tuple.Batch
 	perm []int32
@@ -57,29 +58,6 @@ type sortedRun struct {
 }
 
 func (r sortedRun) len() int { return len(r.keys) }
-
-// keyPrefix abbreviates a normalized key to its first eight bytes as a
-// big-endian integer, zero-padded. Zero padding is order-preserving
-// against bytes.Compare (no key byte sorts below 0x00), so unequal
-// prefixes decide the comparison and equal prefixes fall back to the
-// full keys.
-func keyPrefix(k []byte) uint64 {
-	var b [8]byte
-	copy(b[:], k)
-	return binary.BigEndian.Uint64(b[:])
-}
-
-// makePres builds the abbreviation array for a key array.
-func makePres(keys [][]byte) []uint64 {
-	if len(keys) == 0 {
-		return nil
-	}
-	pres := make([]uint64, len(keys))
-	for i, k := range keys {
-		pres[i] = keyPrefix(k)
-	}
-	return pres
-}
 
 // cmpKeys compares two normalized keys through their abbreviations.
 func cmpKeys(pa uint64, ka []byte, pb uint64, kb []byte) int {
@@ -180,7 +158,7 @@ func batchNormKeys(b *tuple.Batch, cols []int, widen []bool) [][]byte {
 // (the merge sides' sorted runs) must use batchNormKeys instead.
 func batchNormKeysInto(arena []byte, keys [][]byte, b *tuple.Batch, cols []int, widen []bool) ([]byte, [][]byte) {
 	n := b.Len()
-	if need := n * tuple.NormKeySizeHint(b.Schema(), cols); cap(arena) < need {
+	if need := b.NormKeysSize(cols); cap(arena) < need {
 		arena = make([]byte, 0, need)
 	}
 	if cap(keys) < n {
@@ -532,5 +510,5 @@ func (n *mergeNode) sortNewRuns(newL, newR *tuple.Batch) (lRun, rRun sortedRun, 
 
 func sortRun(b *tuple.Batch, cols []int, widen []bool) (sortedRun, int64) {
 	res := sortx.SortKeyedIdx(batchNormKeys(b, cols, widen), 0)
-	return sortedRun{b: b, perm: res.Perm, keys: res.Keys, pres: makePres(res.Keys)}, res.Comparisons
+	return sortedRun{b: b, perm: res.Perm, keys: res.Keys, pres: res.Pres}, res.Comparisons
 }

@@ -356,9 +356,9 @@ func TestPairCompsMatchesMergeJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		widen := tuple.JoinWiden(ls, []int{1}, rs, []int{1})
-		lk := batchNormKeys(batchOf(ls, l), []int{1}, widen)
-		rk := batchNormKeys(batchOf(rs, r), []int{1}, widen)
-		got := pairComps(groupsOf(lk, makePres(lk)), groupsOf(rk, makePres(rk)))
+		lr, _ := sortRun(batchOf(ls, l), []int{1}, widen)
+		rr, _ := sortRun(batchOf(rs, r), []int{1}, widen)
+		got := pairComps(groupsOf(lr.keys, lr.pres), groupsOf(rr.keys, rr.pres))
 		if got != comps {
 			t.Fatalf("trial %d (%v×%v |l|=%d |r|=%d maxKey=%d): pairComps=%d, mergeJoin comps=%d",
 				trial, lt, rt, len(l), len(r), maxKey, got, comps)

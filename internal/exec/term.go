@@ -296,10 +296,12 @@ func NewTieredParallelQuery(e ra.Expr, env *Env, cat ra.Catalog, plan Plan, term
 }
 
 // AdvanceStage evaluates stage over all terms (feeds must be loaded).
-// With a worker budget > 1 the terms run concurrently on their lane
-// environments and the recorded work is folded back in term order, so
-// the session clock, counters and timings end the stage in exactly the
-// state a serial evaluation would have produced.
+// With a worker budget > 1 the terms run on their lane environments —
+// concurrently when the stage is large enough to repay the goroutine
+// handoff, one after the other on the calling goroutine otherwise — and
+// the recorded work is folded back in term order, so the session clock,
+// counters and timings end the stage in exactly the state a serial
+// evaluation would have produced.
 func (q *Query) AdvanceStage(stage int) error {
 	if q.workers <= 1 || len(q.termEnvs) == 0 {
 		for _, te := range q.Terms {
@@ -310,18 +312,28 @@ func (q *Query) AdvanceStage(stage int) error {
 		return nil
 	}
 	errs := make([]error, len(q.Terms))
-	sem := make(chan struct{}, q.workers)
-	var wg sync.WaitGroup
-	for i, te := range q.Terms {
-		wg.Add(1)
-		go func(i int, te *TermExec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = te.Advance(stage)
-		}(i, te)
+	if q.stageBelowFloor(stage) {
+		// Lanes make the two schedules indistinguishable to the
+		// simulation; a serial run stops at the first failing term.
+		for i, te := range q.Terms {
+			if errs[i] = te.Advance(stage); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		sem := make(chan struct{}, q.workers)
+		var wg sync.WaitGroup
+		for i, te := range q.Terms {
+			wg.Add(1)
+			go func(i int, te *TermExec) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				errs[i] = te.Advance(stage)
+			}(i, te)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	// Replay in fixed term order — the serial charge sequence. On error,
 	// replay only the prefix a serial run would have executed (terms
 	// after the first failure never ran serially).
@@ -332,6 +344,19 @@ func (q *Query) AdvanceStage(stage int) error {
 		}
 	}
 	return nil
+}
+
+// stageBelowFloor reports whether every relation loaded fewer than
+// subParMin tuples for the stage — the floor under sub-term fan-out
+// (runPar) applied to the term tier: below it a term's whole stage is
+// cheaper than handing it to another goroutine.
+func (q *Query) stageBelowFloor(stage int) bool {
+	for _, f := range q.Feeds {
+		if f.StageLen(stage) >= subParMin {
+			return false
+		}
+	}
+	return true
 }
 
 // SetAggregate configures SUM/AVG accumulation over the named column on

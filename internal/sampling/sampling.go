@@ -23,14 +23,26 @@ import (
 type BlockSampler struct {
 	d     int
 	rng   *rand.Rand
-	perm  map[int]int // sparse Fisher–Yates state
-	next  int         // number of indices already drawn
-	fixed []int       // prebuilt permutation (catalog warm path); nil when live
+	next  int   // number of indices already drawn
+	fixed []int // prebuilt permutation (catalog warm path); nil when live
+
+	// Sparse Fisher–Yates state: the positions whose value differs from
+	// their index, in a pointer-free open-addressed table (linear
+	// probing, power-of-two size, load ≤ ½). Only positions at or past
+	// the draw cursor are ever read, so entries the cursor has passed
+	// are dead: they are never deleted, just dropped when the table
+	// grows.
+	slots []slot
+	used  int // occupied slots, dead ones included
 }
+
+// slot is one displaced position: key is the position plus one (zero
+// marks an empty slot), val the index currently stored there.
+type slot struct{ key, val int }
 
 // NewBlockSampler creates a sampler over block indices [0, d).
 func NewBlockSampler(d int, rng *rand.Rand) *BlockSampler {
-	return &BlockSampler{d: d, rng: rng, perm: make(map[int]int)}
+	return &BlockSampler{d: d, rng: rng}
 }
 
 // NewBlockSamplerFromPerm creates a sampler that replays a prebuilt
@@ -63,23 +75,60 @@ func (b *BlockSampler) Draw(k int) []int {
 		b.next += k
 		return out
 	}
+	b.reserve(k)
 	out := make([]int, 0, k)
 	for i := 0; i < k; i++ {
+		// Swap positions next and j, emit what lands on next. The value
+		// is not written back to next: the cursor moves past it.
 		j := b.next + b.rng.Intn(b.d-b.next)
-		vj, ok := b.perm[j]
-		if !ok {
-			vj = j
+		v := b.next
+		if s := b.find(b.next); s.key != 0 {
+			v = s.val
 		}
-		vn, ok := b.perm[b.next]
-		if !ok {
-			vn = b.next
+		if j != b.next {
+			s := b.find(j)
+			if s.key == 0 {
+				s.key, s.val = j+1, j
+				b.used++
+			}
+			v, s.val = s.val, v
 		}
-		b.perm[j] = vn
-		b.perm[b.next] = vj
-		out = append(out, vj)
+		out = append(out, v)
 		b.next++
 	}
 	return out
+}
+
+// find returns the slot holding position pos, or the empty slot where
+// it belongs.
+func (b *BlockSampler) find(pos int) *slot {
+	mask := len(b.slots) - 1
+	for h := int(uint64(pos)*0x9E3779B97F4A7C15>>32) & mask; ; h = (h + 1) & mask {
+		if s := &b.slots[h]; s.key == 0 || s.key == pos+1 {
+			return s
+		}
+	}
+}
+
+// reserve makes room for k more displaced positions at load ≤ ½ (each
+// draw displaces at most one), rehashing the live entries into a larger
+// table when needed.
+func (b *BlockSampler) reserve(k int) {
+	if 2*(b.used+k) <= len(b.slots) {
+		return
+	}
+	size := 8
+	for size < 2*(b.used+k) {
+		size *= 2
+	}
+	old := b.slots
+	b.slots, b.used = make([]slot, size), 0
+	for _, s := range old {
+		if s.key > b.next {
+			*b.find(s.key - 1) = s
+			b.used++
+		}
+	}
 }
 
 // StageDraw records one stage's sample from one relation.

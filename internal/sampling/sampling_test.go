@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -223,5 +224,75 @@ func TestSampleInts(t *testing.T) {
 	}
 	if SampleInts(rng, 5, 0) != nil {
 		t.Error("zero sample should be nil")
+	}
+}
+
+// mapSampler is the sparse Fisher–Yates shuffle over a Go map that
+// BlockSampler's open-addressed table replaced — kept here as the
+// oracle: the table must consume the RNG identically and return the
+// same indices in the same order.
+type mapSampler struct {
+	d, next int
+	rng     *rand.Rand
+	perm    map[int]int
+}
+
+func (m *mapSampler) draw(k int) []int {
+	if k > m.d-m.next {
+		k = m.d - m.next
+	}
+	if k <= 0 {
+		return nil
+	}
+	out := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		j := m.next + m.rng.Intn(m.d-m.next)
+		vj, ok := m.perm[j]
+		if !ok {
+			vj = j
+		}
+		vn, ok := m.perm[m.next]
+		if !ok {
+			vn = m.next
+		}
+		m.perm[j] = vn
+		m.perm[m.next] = vj
+		out = append(out, vj)
+		m.next++
+	}
+	return out
+}
+
+// TestBlockSamplerMatchesMapOracle draws random schedules (d, k₁, k₂, …)
+// through to census — so the table grows, rehashes and drops dead
+// entries many times — and demands draw-for-draw equality with the map
+// shuffle, including the RNG position afterwards.
+func TestBlockSamplerMatchesMapOracle(t *testing.T) {
+	sched := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + sched.Intn(3000)
+		if trial%10 == 0 {
+			d = 1 + sched.Intn(6)
+		}
+		seed := sched.Int63()
+		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := NewBlockSampler(d, rngA)
+		want := &mapSampler{d: d, rng: rngB, perm: map[int]int{}}
+		for got.Remaining() > 0 {
+			k := sched.Intn(1 + d/(1+sched.Intn(8)))
+			if sched.Intn(6) == 0 {
+				k = got.Remaining() + sched.Intn(3) // through (and past) census
+			}
+			a, b := got.Draw(k), want.draw(k)
+			if !slices.Equal(a, b) {
+				t.Fatalf("trial %d d=%d after %d drawn, Draw(%d): table %v, map %v", trial, d, want.next-len(b), k, a, b)
+			}
+		}
+		if got.Draw(1) != nil {
+			t.Fatalf("trial %d: draw past census returned blocks", trial)
+		}
+		if rngA.Int63() != rngB.Int63() {
+			t.Fatalf("trial %d: RNG streams diverged", trial)
+		}
 	}
 }

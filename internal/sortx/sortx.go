@@ -9,99 +9,54 @@
 // so callers can charge CPU cost to the session clock in one step.
 //
 // The executors sort through SortKeyedIdx: an argsort over cached
-// normalized byte keys (internal/tuple), comparing with bytes.Compare
-// instead of re-walking columns. The generic core's comparator-call
-// sequence depends only on the ordering, so charged comparison counts
-// are those of sorting the tuples themselves.
+// normalized byte keys (internal/tuple). The elements it moves are
+// (8-byte key prefix, row) pairs, so nearly every comparison is decided
+// on two integers already in registers; bytes.Compare over the full keys
+// runs only on equal prefixes. The comparator-call sequence of the
+// stable run sort and of the heap merge depends only on the ordering,
+// so charged comparison counts are those of sorting the tuples
+// themselves with any comparator that agrees with the key order.
 package sortx
 
 import (
 	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"slices"
-	"sync"
-
-	"tcq/internal/tuple"
 )
 
 // DefaultRunSize is the default number of tuples per initial run,
 // modelling the sort buffer of the prototype DBMS.
 const DefaultRunSize = 512
 
-// Cmp orders two tuples; negative means a < b.
-type Cmp func(a, b tuple.Tuple) int
-
-// counter tallies comparator invocations without a capturing closure
-// per run: one counter per sort call, its method bound once.
-type counter[T any] struct {
-	cmp func(a, b T) int
-	n   int64
+// keyed is the element the sort orders: a key's abbreviation and the
+// input row it belongs to.
+type keyed struct {
+	pre uint64
+	row int32
 }
 
-func (c *counter[T]) compare(a, b T) int {
-	c.n++
-	return c.cmp(a, b)
+// prefix abbreviates a normalized key to its first eight bytes as a
+// big-endian integer, zero-padded. Zero padding is order-preserving
+// against bytes.Compare (no key byte sorts below 0x00), so unequal
+// prefixes decide a comparison and equal prefixes fall back to the full
+// keys.
+func prefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
 }
-
-// sortCore externally sorts items (copied into a contiguous run arena)
-// and returns the sorted slice, the comparison count and the number of
-// initial runs. The input slice is not modified.
-func sortCore[T any](items []T, cmp func(a, b T) int, runSize int) ([]T, int64, int) {
-	n := len(items)
-	if n == 0 {
-		return nil, 0, 0
-	}
-	c := &counter[T]{cmp: cmp}
-	counting := c.compare
-
-	// Phase 1: run generation. Runs are contiguous chunks of one arena,
-	// each sorted in place.
-	arena := make([]T, n)
-	copy(arena, items)
-	nRuns := (n + runSize - 1) / runSize
-	runs := make([][]T, 0, nRuns)
-	for lo := 0; lo < n; lo += runSize {
-		hi := min(lo+runSize, n)
-		run := arena[lo:hi:hi]
-		slices.SortStableFunc(run, counting)
-		runs = append(runs, run)
-	}
-	if len(runs) == 1 {
-		return arena, c.n, 1
-	}
-
-	// Phase 2: k-way heap merge.
-	out := make([]T, 0, n)
-	h := &mergeHeap[T]{cmp: counting}
-	for i, r := range runs {
-		h.items = append(h.items, mergeItem[T]{run: i, item: r[0]})
-	}
-	heap.Init(h)
-	pos := make([]int, len(runs))
-	for h.Len() > 0 {
-		it := h.items[0]
-		out = append(out, it.item)
-		pos[it.run]++
-		if p := pos[it.run]; p < len(runs[it.run]) {
-			h.items[0].item = runs[it.run][p]
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return out, c.n, len(runs)
-}
-
-// idxPool recycles the index arenas of SortKeyedIdx (the hot path of
-// the executors: one argsort per side per stage).
-var idxPool = sync.Pool{New: func() any { return []int32(nil) }}
 
 // IdxResult reports the outcome of an argsort by cached keys: the
 // sorting permutation (Perm[i] is the input index of sorted rank i)
-// plus the keys gathered into sorted order.
+// plus the keys and their 8-byte prefixes gathered into sorted order.
 type IdxResult struct {
 	Perm        []int32
 	Keys        [][]byte
+	Pres        []uint64
 	Comparisons int64
 	Runs        int
 }
@@ -118,76 +73,101 @@ func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	if n == 0 {
 		return IdxResult{}
 	}
-	// Argsort: order indices by key, then gather. Index moves are 4
-	// bytes instead of a tuple header + key header per swap.
-	idx := idxPool.Get().([]int32)
-	if cap(idx) < n {
-		idx = make([]int32, n)
+	elems := make([]keyed, n)
+	for i, k := range keys {
+		elems[i] = keyed{pre: prefix(k), row: int32(i)}
 	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
+	// Phase 1: run generation, each run sorted in place.
+	var comps int64
+	cmp := func(a, b keyed) int {
+		comps++
+		return compare(keys, a, b)
 	}
-	cmp := func(a, b int32) int { return bytes.Compare(keys[a], keys[b]) }
-	sortedIdx, comps, runs := sortCore(idx, cmp, runSize)
-	outK := make([][]byte, n)
-	for i, j := range sortedIdx {
-		outK[i] = keys[j]
+	runs := 0
+	for lo := 0; lo < n; lo += runSize {
+		slices.SortStableFunc(elems[lo:min(lo+runSize, n)], cmp)
+		runs++
 	}
-	idxPool.Put(idx[:0])
-	return IdxResult{Perm: sortedIdx, Keys: outK, Comparisons: comps, Runs: runs}
+	// Phase 2: k-way heap merge.
+	if runs > 1 {
+		var mergeComps int64
+		elems, mergeComps = mergeRuns(elems, keys, runSize)
+		comps += mergeComps
+	}
+
+	res := IdxResult{
+		Perm:        make([]int32, n),
+		Keys:        make([][]byte, n),
+		Pres:        make([]uint64, n),
+		Comparisons: comps,
+		Runs:        runs,
+	}
+	for i, e := range elems {
+		res.Perm[i], res.Keys[i], res.Pres[i] = e.row, keys[e.row], e.pre
+	}
+	return res
 }
 
-type mergeItem[T any] struct {
-	run  int
-	item T
+// compare orders two elements: by prefix, then — on equal prefixes
+// only — by their full keys.
+func compare(keys [][]byte, a, b keyed) int {
+	if a.pre != b.pre {
+		if a.pre < b.pre {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(keys[a.row], keys[b.row])
 }
 
-type mergeHeap[T any] struct {
-	items []mergeItem[T]
-	cmp   func(a, b T) int
+// mergeRuns merges the sorted runs elems[0:runSize], elems[runSize:…], …
+// into one sorted slice and returns it with the comparisons it made.
+func mergeRuns(elems []keyed, keys [][]byte, runSize int) ([]keyed, int64) {
+	n := len(elems)
+	out := make([]keyed, 0, n)
+	h := &mergeHeap{keys: keys}
+	for lo := 0; lo < n; lo += runSize {
+		h.items = append(h.items, mergeItem{next: lo + 1, end: min(lo+runSize, n), item: elems[lo]})
+	}
+	heap.Init(h)
+	for h.Len() > 0 {
+		it := &h.items[0]
+		out = append(out, it.item)
+		if it.next < it.end {
+			it.item = elems[it.next]
+			it.next++
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
+		}
+	}
+	return out, h.comps
 }
 
-func (h *mergeHeap[T]) Len() int           { return len(h.items) }
-func (h *mergeHeap[T]) Less(i, j int) bool { return h.cmp(h.items[i].item, h.items[j].item) < 0 }
-func (h *mergeHeap[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap[T]) Push(x interface{}) { h.items = append(h.items, x.(mergeItem[T])) }
-func (h *mergeHeap[T]) Pop() interface{} {
+// mergeItem is the head of one run: its current element and the
+// positions [next, end) of the run's remaining ones.
+type mergeItem struct {
+	next, end int
+	item      keyed
+}
+
+type mergeHeap struct {
+	items []mergeItem
+	keys  [][]byte
+	comps int64
+}
+
+func (h *mergeHeap) Len() int { return len(h.items) }
+func (h *mergeHeap) Less(i, j int) bool {
+	h.comps++
+	return compare(h.keys, h.items[i].item, h.items[j].item) < 0
+}
+func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
+func (h *mergeHeap) Pop() interface{} {
 	old := h.items
 	n := len(old)
 	it := old[n-1]
 	h.items = old[:n-1]
 	return it
-}
-
-// MergeSorted merges two sorted slices into one sorted slice, returning
-// the merged slice and the number of comparisons. Neither input is
-// modified. Ties take the left element first (stable).
-func MergeSorted(a, b []tuple.Tuple, cmp Cmp) ([]tuple.Tuple, int64) {
-	out := make([]tuple.Tuple, 0, len(a)+len(b))
-	var comparisons int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		comparisons++
-		if cmp(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, comparisons
-}
-
-// IsSorted reports whether ts is sorted under cmp.
-func IsSorted(ts []tuple.Tuple, cmp Cmp) bool {
-	for i := 1; i < len(ts); i++ {
-		if cmp(ts[i-1], ts[i]) > 0 {
-			return false
-		}
-	}
-	return true
 }

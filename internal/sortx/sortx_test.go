@@ -2,7 +2,9 @@ package sortx
 
 import (
 	"bytes"
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +20,16 @@ func intTuples(vals ...int64) []tuple.Tuple {
 }
 
 func byFirst(a, b tuple.Tuple) int { return tuple.CompareValues(a[0], b[0]) }
+
+// isSorted reports whether ts is sorted under cmp.
+func isSorted(ts []tuple.Tuple, cmp func(a, b tuple.Tuple) int) bool {
+	for i := 1; i < len(ts); i++ {
+		if cmp(ts[i-1], ts[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // result is a sorted copy of the input with the sort's accounting.
 type result struct {
@@ -63,7 +75,7 @@ func TestSortSingleRun(t *testing.T) {
 	if r.Runs != 1 {
 		t.Errorf("runs = %d, want 1", r.Runs)
 	}
-	if !IsSorted(r.Sorted, byFirst) {
+	if !isSorted(r.Sorted, byFirst) {
 		t.Errorf("not sorted: %v", r.Sorted)
 	}
 	if r.Comparisons <= 0 {
@@ -85,7 +97,7 @@ func TestSortMultiRunMerge(t *testing.T) {
 	if len(r.Sorted) != 1000 {
 		t.Fatalf("lost tuples: %d", len(r.Sorted))
 	}
-	if !IsSorted(r.Sorted, byFirst) {
+	if !isSorted(r.Sorted, byFirst) {
 		t.Error("multi-run output not sorted")
 	}
 	// Input must be untouched.
@@ -126,7 +138,7 @@ func TestSortPropertyMatchesReference(t *testing.T) {
 		if len(r.Sorted) != len(vals) {
 			return false
 		}
-		return IsSorted(r.Sorted, byFirst)
+		return isSorted(r.Sorted, byFirst)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -150,51 +162,164 @@ func TestSortComparisonsScaleNLogN(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	a := intTuples(1, 3, 5)
-	b := intTuples(2, 3, 6)
-	out, comps := MergeSorted(a, b, byFirst)
-	want := []int64{1, 2, 3, 3, 5, 6}
-	if len(out) != len(want) {
-		t.Fatalf("merged %d tuples", len(out))
-	}
-	for i, w := range want {
-		if out[i][0].(int64) != w {
-			t.Fatalf("merged = %v", out)
-		}
-	}
-	if comps <= 0 || comps > int64(len(a)+len(b)) {
-		t.Errorf("comparisons = %d", comps)
-	}
-	// Empty sides.
-	out, _ = MergeSorted(nil, b, byFirst)
-	if len(out) != 3 {
-		t.Errorf("merge with empty left = %v", out)
-	}
-	out, _ = MergeSorted(a, nil, byFirst)
-	if len(out) != 3 {
-		t.Errorf("merge with empty right = %v", out)
-	}
-}
-
-func TestMergeSortedStability(t *testing.T) {
-	// Ties must take the left element first.
-	a := []tuple.Tuple{{int64(1), "left"}}
-	b := []tuple.Tuple{{int64(1), "right"}}
-	out, _ := MergeSorted(a, b, byFirst)
-	if out[0][1] != "left" || out[1][1] != "right" {
-		t.Errorf("merge not stable: %v", out)
-	}
-}
-
 func TestIsSorted(t *testing.T) {
-	if !IsSorted(nil, byFirst) || !IsSorted(intTuples(1), byFirst) {
+	if !isSorted(nil, byFirst) || !isSorted(intTuples(1), byFirst) {
 		t.Error("trivial slices are sorted")
 	}
-	if !IsSorted(intTuples(1, 1, 2), byFirst) {
+	if !isSorted(intTuples(1, 1, 2), byFirst) {
 		t.Error("non-strict order is sorted")
 	}
-	if IsSorted(intTuples(2, 1), byFirst) {
+	if isSorted(intTuples(2, 1), byFirst) {
 		t.Error("descending should not be sorted")
+	}
+}
+
+// refSort is the oracle SortKeyedIdx is pinned against: the same
+// algorithm — slices.SortStableFunc per run of at most runSize, then a
+// container/heap k-way merge — over bare row indices compared with
+// plain bytes.Compare on the full keys, counting every comparator call.
+// The count is charged to the simulated clock, so SortKeyedIdx's
+// prefix-first comparator must be called exactly as often, and leave
+// exactly the same permutation, as this one.
+func refSort(keys [][]byte, runSize int) (perm []int32, comps int64, nRuns int) {
+	n := len(keys)
+	if n == 0 {
+		return nil, 0, 0
+	}
+	cmp := func(a, b int32) int {
+		comps++
+		return bytes.Compare(keys[a], keys[b])
+	}
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	var runs [][]int32
+	for lo := 0; lo < n; lo += runSize {
+		run := idx[lo:min(lo+runSize, n)]
+		slices.SortStableFunc(run, cmp)
+		runs = append(runs, run)
+	}
+	if len(runs) == 1 {
+		return idx, comps, 1
+	}
+	h := &refHeap{cmp: cmp}
+	for i, r := range runs {
+		h.items = append(h.items, refItem{run: i, item: r[0]})
+	}
+	heap.Init(h)
+	pos := make([]int, len(runs))
+	for h.Len() > 0 {
+		it := h.items[0]
+		perm = append(perm, it.item)
+		pos[it.run]++
+		if p := pos[it.run]; p < len(runs[it.run]) {
+			h.items[0].item = runs[it.run][p]
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
+		}
+	}
+	return perm, comps, len(runs)
+}
+
+type refItem struct {
+	run  int
+	item int32
+}
+
+type refHeap struct {
+	items []refItem
+	cmp   func(a, b int32) int
+}
+
+func (h *refHeap) Len() int           { return len(h.items) }
+func (h *refHeap) Less(i, j int) bool { return h.cmp(h.items[i].item, h.items[j].item) < 0 }
+func (h *refHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *refHeap) Push(x any)         { h.items = append(h.items, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	it := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return it
+}
+
+// randKeys draws n keys from a pool built to stress the abbreviation:
+// keys shorter than eight bytes (one a zero-padded prefix of another),
+// keys that share their first eight bytes and differ only in the tail,
+// exact duplicates, normalized strings with escaped NULs, and plain
+// normalized integers.
+func randKeys(rng *rand.Rand, n int) [][]byte {
+	pool := [][]byte{
+		{}, {0}, {0, 0}, {1}, {1, 0}, {1, 0, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0, 0, 0},
+		[]byte("abcdefgh"), []byte("abcdefgh\x00"), []byte("abcdefghi"), []byte("abcdefghij"), []byte("abcdefg"),
+	}
+	for _, str := range []string{"", "a", "a\x00", "a\x00b", "\x00", "\x00\x00", "sameprefix-1", "sameprefix-2"} {
+		pool = append(pool, tuple.AppendNormKey(nil, tuple.Tuple{str, int64(rng.Intn(3))}, nil, nil))
+	}
+	keys := make([][]byte, n)
+	for i := range keys {
+		switch rng.Intn(3) {
+		case 0:
+			keys[i] = pool[rng.Intn(len(pool))]
+		case 1: // (int, int): the 8-byte prefix is the first column only
+			keys[i] = tuple.AppendNormKey(nil, tuple.Tuple{int64(rng.Intn(4)), int64(rng.Intn(50) - 25)}, nil, nil)
+		default:
+			keys[i] = tuple.AppendNormKey(nil, tuple.Tuple{int64(rng.Intn(1000) - 500)}, nil, nil)
+		}
+	}
+	return keys
+}
+
+func TestSortKeyedIdxMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	type shape struct{ n, runSize int }
+	shapes := []shape{
+		{1, 4}, {2, 4}, {4, 4}, {5, 4}, {9, 4}, {33, 8}, {200, 16},
+		{DefaultRunSize - 1, 0}, {DefaultRunSize, 0}, {DefaultRunSize + 1, 0}, {3*DefaultRunSize + 7, 0},
+	}
+	for trial := 0; trial < 40; trial++ {
+		shapes = append(shapes, shape{rng.Intn(700), 1 + rng.Intn(64)})
+	}
+	for _, sh := range shapes {
+		keys := randKeys(rng, sh.n)
+		in := slices.Clone(keys)
+		got := SortKeyedIdx(keys, sh.runSize)
+		runSize := sh.runSize
+		if runSize <= 0 {
+			runSize = DefaultRunSize
+		}
+		perm, comps, runs := refSort(keys, runSize)
+		if !slices.Equal(got.Perm, perm) {
+			t.Fatalf("n=%d runSize=%d: Perm diverges from the reference sort", sh.n, sh.runSize)
+		}
+		if got.Comparisons != comps || got.Runs != runs {
+			t.Fatalf("n=%d runSize=%d: comparisons %d runs %d, reference %d and %d",
+				sh.n, sh.runSize, got.Comparisons, got.Runs, comps, runs)
+		}
+		for i, j := range got.Perm {
+			if !bytes.Equal(got.Keys[i], keys[j]) || got.Pres[i] != prefix(keys[j]) {
+				t.Fatalf("n=%d runSize=%d: Keys/Pres[%d] do not belong to input %d", sh.n, sh.runSize, i, j)
+			}
+		}
+		for i := range in {
+			if !bytes.Equal(in[i], keys[i]) {
+				t.Fatalf("n=%d: input key %d modified", sh.n, i)
+			}
+		}
+	}
+}
+
+// TestPrefixOrderPreserving pins the abbreviation's contract: unequal
+// prefixes order two keys as bytes.Compare does.
+func TestPrefixOrderPreserving(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	keys := randKeys(rng, 400)
+	for _, a := range keys {
+		for _, b := range keys {
+			pa, pb := prefix(a), prefix(b)
+			if pa != pb && (pa < pb) != (bytes.Compare(a, b) < 0) {
+				t.Fatalf("prefix order disagrees with key order: %x vs %x", a, b)
+			}
+		}
 	}
 }

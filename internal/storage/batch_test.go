@@ -65,12 +65,12 @@ func TestBatchRelationMirrorsRowRelation(t *testing.T) {
 	for i := 0; i < rowRel.NumBlocks(); i++ {
 		before := clk.Now()
 		c0 := st.Counters()
-		rb, err := rowRel.ReadBlockBatchIn(st, i, dl)
+		rb, err := rowRel.ReadBlock(i, dl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		afterRow := clk.Now() - before
-		bb, err := batchRel.ReadBlockBatchIn(st, i, dl)
+		bb, err := batchRel.ReadBlock(i, dl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +106,10 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	_, batchRel, st := buildPair(t, 5)
 	clk := st.Clock().(*vclock.Sim)
 	expired := vclock.NewDeadline(clk, -time.Second)
-	if _, err := batchRel.ReadBlockBatchIn(st, 0, expired); !errors.Is(err, ErrDeadline) {
+	if _, err := batchRel.ReadBlock(0, expired); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired read err = %v, want ErrDeadline", err)
 	}
-	if _, err := batchRel.ReadBlockBatchIn(st, 99, vclock.Unarmed()); err == nil {
+	if _, err := batchRel.ReadBlock(99, vclock.Unarmed()); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
 	// Row appends land in the same storage and extend the block range.
@@ -141,7 +141,7 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	if got := rowRel.NumTuples(); got != 3 {
 		t.Fatalf("NumTuples = %d", got)
 	}
-	blk, err := rowRel.ReadBlockBatchIn(st, 0, vclock.Unarmed())
+	blk, err := rowRel.ReadBlock(0, vclock.Unarmed())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,11 @@ func (r *Relation) Save(w io.Writer) error {
 	}
 	buf := make([]byte, 0, r.schema.TupleSize())
 	for i := 0; i < r.numBlocksLocked(); i++ {
-		blk, err := r.blockLocked(i)
+		src, lo, hi, err := r.blockLocked(i)
 		if err != nil {
 			return err
 		}
-		for _, t := range blk.Rows() {
+		for _, t := range src.Slice(lo, hi).Rows() {
 			buf = t.Encode(r.schema, buf[:0])
 			if _, err := bw.Write(buf); err != nil {
 				return err

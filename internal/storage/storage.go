@@ -280,7 +280,7 @@ func (s *Store) DropRelation(name string) error {
 // (see OpenRelationFile in persist.go). A relation is shared by every
 // session of its store; its data is guarded by an RW lock
 // (appends/loads exclude readers), while read charges are routed to the
-// session doing the reading (ReadBlockBatchIn).
+// session doing the reading (AppendBlockIn).
 type Relation struct {
 	name           string
 	schema         *tuple.Schema
@@ -313,15 +313,19 @@ func (r *Relation) numBlocksLocked() int {
 	return int((r.numTuples + int64(r.blockingFactor) - 1) / int64(r.blockingFactor))
 }
 
-// blockLocked returns block i: a zero-copy view of the in-memory batch,
-// or the decoded block of a file-backed relation.
-func (r *Relation) blockLocked(i int) (*tuple.Batch, error) {
+// blockLocked locates block i: the batch holding it and the block's row
+// range within that batch — the relation's own batch, or the freshly
+// decoded block of a file-backed relation.
+func (r *Relation) blockLocked(i int) (src *tuple.Batch, lo, hi int, err error) {
 	if r.backing != nil {
-		return r.backing.readBlock(i)
+		src, err = r.backing.readBlock(i)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return src, 0, src.Len(), nil
 	}
-	lo := i * r.blockingFactor
-	hi := min(lo+r.blockingFactor, r.batch.Len())
-	return r.batch.Slice(lo, hi), nil
+	lo = i * r.blockingFactor
+	return r.batch, lo, min(lo+r.blockingFactor, r.batch.Len()), nil
 }
 
 // NumTuples returns the total number of tuples.
@@ -375,37 +379,60 @@ func (r *Relation) AppendAll(ts []tuple.Tuple) error {
 	return nil
 }
 
-// ReadBlock returns block i, charging one block-read to the creating
-// store's clock (see ReadBlockBatchIn).
+// ReadBlock returns block i as a read-only view, charging one block-read
+// to the creating store's clock (see readBlock).
 func (r *Relation) ReadBlock(i int, dl vclock.Deadline) (*tuple.Batch, error) {
-	return r.ReadBlockBatchIn(r.store, i, dl)
+	var blk *tuple.Batch
+	err := r.readBlock(r.store, i, dl, func(src *tuple.Batch, lo, hi int) {
+		blk = src.Slice(lo, hi)
+	})
+	return blk, err
 }
 
-// ReadBlockBatchIn returns block i as a read-only columnar batch,
-// charging one block-read to the given store view — the way a query
+// AppendBlockIn reads block i for a query session and appends the
+// block's rows [lo, hi) — block-relative, clamped to the block's length
+// — straight to dst, so a stage load moves each sampled tuple once and
+// no per-block view exists. It returns the block's length; charging and
+// failure modes are readBlock's.
+func (r *Relation) AppendBlockIn(sess *Store, dst *tuple.Batch, i, lo, hi int, dl vclock.Deadline) (int, error) {
+	n := 0
+	err := r.readBlock(sess, i, dl, func(src *tuple.Batch, blo, bhi int) {
+		n = bhi - blo
+		if lo < n {
+			dst.AppendRange(src, blo+lo, blo+min(hi, n))
+		}
+	})
+	return n, err
+}
+
+// readBlock is the one check-and-charge body of every block read: it
+// hands block i's rows to take (under the relation's read lock) and
+// charges one block-read to the given store view — the way a query
 // session reads shared relations without its physical-work accounting
 // bleeding into other sessions. It honours the deadline: if dl has
 // expired the read fails with ErrDeadline before any cost is charged
 // (the paper's interrupt aborts the stage at the next block boundary).
-func (r *Relation) ReadBlockBatchIn(sess *Store, i int, dl vclock.Deadline) (*tuple.Batch, error) {
+func (r *Relation) readBlock(sess *Store, i int, dl vclock.Deadline, take func(src *tuple.Batch, lo, hi int)) error {
 	if dl.Expired() {
-		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
+		return fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
 	}
 	r.mu.RLock()
 	n := r.numBlocksLocked()
 	if i < 0 || i >= n {
 		r.mu.RUnlock()
-		return nil, fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
+		return fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
 	}
-	blk, err := r.blockLocked(i)
-	r.mu.RUnlock()
+	src, lo, hi, err := r.blockLocked(i)
 	if err != nil {
-		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, err)
+		r.mu.RUnlock()
+		return fmt.Errorf("storage: read %s block %d: %w", r.name, i, err)
 	}
+	take(src, lo, hi)
+	r.mu.RUnlock()
 	sess.clock.Charge(sess.costs.BlockRead)
 	sess.counters.BlocksRead++
-	sess.counters.TuplesRead += int64(blk.Len())
-	return blk, nil
+	sess.counters.TuplesRead += int64(hi - lo)
+	return nil
 }
 
 // Scan invokes fn for every tuple, charging block reads as it goes. It

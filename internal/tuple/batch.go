@@ -1,14 +1,18 @@
 package tuple
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Batch is a column-oriented block of tuples: one typed slice per
 // schema column instead of a []Value per row. It is the one physical
 // representation from storage to estimator — relations store their data
-// as one big Batch, block reads hand out zero-copy Slice views, every
-// operator consumes and produces batches (selection and merge outputs
-// are index gathers), and rows are materialized to []Value form only
-// for the exact reference evaluator and data export.
+// as one big Batch, a stage load copies each sampled block's row range
+// into the stage batch (AppendRange), every operator consumes and
+// produces batches (selection and merge outputs are index gathers), and
+// rows are materialized to []Value form only for the exact reference
+// evaluator and data export.
 //
 // A Batch obtained from Slice or Project is a view sharing the parent's
 // column storage; views must be treated as read-only. Appending to the
@@ -141,18 +145,25 @@ func (b *Batch) AppendBatch(o *Batch) error {
 	if !b.schema.Equal(o.schema) {
 		return fmt.Errorf("tuple: AppendBatch schema mismatch")
 	}
-	for i, c := range b.schema.cols {
-		switch c.Type {
-		case Int:
-			b.cols[i].ints = append(b.cols[i].ints, o.cols[i].ints...)
-		case Float:
-			b.cols[i].floats = append(b.cols[i].floats, o.cols[i].floats...)
-		case String:
-			b.cols[i].strings = append(b.cols[i].strings, o.cols[i].strings...)
+	b.AppendRange(o, 0, o.n)
+	return nil
+}
+
+// AppendRange appends rows [lo, hi) of o by bulk column copy. o must
+// have b's column types (callers pass a batch of the same relation).
+func (b *Batch) AppendRange(o *Batch, lo, hi int) {
+	for i := range b.cols {
+		from, to := &o.cols[i], &b.cols[i]
+		switch {
+		case from.ints != nil:
+			to.ints = append(to.ints, from.ints[lo:hi]...)
+		case from.floats != nil:
+			to.floats = append(to.floats, from.floats[lo:hi]...)
+		case from.strings != nil:
+			to.strings = append(to.strings, from.strings[lo:hi]...)
 		}
 	}
-	b.n += o.n
-	return nil
+	b.n += hi - lo
 }
 
 // Slice returns a zero-copy view of rows [lo, hi). The view is
@@ -296,4 +307,32 @@ func (b *Batch) appendNormCol(dst []byte, row, c int, widen bool) []byte {
 	default:
 		return appendNormString(dst, b.cols[c].strings[row])
 	}
+}
+
+// NormKeysSize returns the exact number of bytes AppendNormKey writes
+// over all rows for the given columns (all columns when cols is nil):
+// 8 per numeric value, the escaped length plus terminator per string.
+// Key arenas are sized with it, so a build never regrows and never
+// zeroes more than it fills.
+func (b *Batch) NormKeysSize(cols []int) int {
+	size := 0
+	add := func(c int) {
+		if strs := b.cols[c].strings; strs != nil {
+			for _, s := range strs {
+				size += len(s) + strings.Count(s, "\x00") + 2
+			}
+		} else {
+			size += 8 * b.n
+		}
+	}
+	if cols == nil {
+		for c := range b.cols {
+			add(c)
+		}
+		return size
+	}
+	for _, c := range cols {
+		add(c)
+	}
+	return size
 }

@@ -113,27 +113,3 @@ func appendNormString(dst []byte, x string) []byte {
 	}
 	return append(dst, 0x00, 0x00)
 }
-
-// NormKeySizeHint returns a per-tuple capacity estimate for normalized
-// keys over the given columns of the schema (all columns when nil),
-// used to pre-size key arenas.
-func NormKeySizeHint(s *Schema, cols []int) int {
-	size := 0
-	add := func(c Column) {
-		if c.Type == String {
-			size += c.Size + 2
-		} else {
-			size += 8
-		}
-	}
-	if cols == nil {
-		for _, c := range s.cols {
-			add(c)
-		}
-		return size
-	}
-	for _, i := range cols {
-		add(s.cols[i])
-	}
-	return size
-}

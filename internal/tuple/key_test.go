@@ -140,21 +140,34 @@ func TestNormKeySortMatchesReference(t *testing.T) {
 	}
 }
 
-func TestNormKeySizeHint(t *testing.T) {
+// TestNormKeysSize pins the arena sizer against the encoder: for any
+// column subset the size is exactly the bytes AppendNormKey writes over
+// all rows — NUL escapes, empty strings and an empty batch included.
+func TestNormKeysSize(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "i", Type: Int},
 		Column{Name: "s", Type: String, Size: 10},
+		Column{Name: "f", Type: Float},
 	)
-	if h := NormKeySizeHint(s, nil); h != 8+12 {
-		t.Errorf("hint = %d, want 20", h)
+	b := NewBatch(s)
+	for _, cols := range [][]int{nil, {0}, {1}, {2, 1}} {
+		if got := b.NormKeysSize(cols); got != 0 {
+			t.Errorf("empty batch, cols %v: size %d, want 0", cols, got)
+		}
 	}
-	if h := NormKeySizeHint(s, []int{0}); h != 8 {
-		t.Errorf("hint = %d, want 8", h)
+	for i, str := range []string{"", "abc", "a\x00b", "\x00\x00", "0123456789"} {
+		if err := b.AppendRow(Tuple{int64(i), str, float64(i) / 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A NUL-free string of exactly Size bytes must fit the hint.
-	k := AppendNormKey(nil, Tuple{int64(1), "0123456789"}, nil, nil)
-	if len(k) > 8+12 {
-		t.Errorf("key len %d exceeds hint", len(k))
+	for _, cols := range [][]int{nil, {0}, {1}, {2, 1}, {1, 0, 1}} {
+		var arena []byte
+		for row := 0; row < b.Len(); row++ {
+			arena = b.AppendNormKey(arena, row, cols, nil)
+		}
+		if got := b.NormKeysSize(cols); got != len(arena) {
+			t.Errorf("cols %v: NormKeysSize = %d, built arena is %d bytes", cols, got, len(arena))
+		}
 	}
 }
 
