@@ -17,6 +17,7 @@ import (
 	"tcq/internal/estimator"
 	"tcq/internal/ra"
 	"tcq/internal/sampling"
+	"tcq/internal/scratch"
 	"tcq/internal/sortx"
 	"tcq/internal/storage"
 	"tcq/internal/tuple"
@@ -144,9 +145,11 @@ func BenchmarkExternalSort(b *testing.B) {
 	for i, t := range benchTuples(len(keys), rng) {
 		keys[i] = tuple.AppendNormKey(nil, t, []int{0}, nil)
 	}
+	mem := new(scratch.Arena)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sortx.SortKeyedIdx(keys, 512)
+		sortx.SortKeyedIdx(mem, keys, 512)
+		mem.Reset()
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tcq/internal/core"
 )
 
 // stressDB builds one instance of the stress fixture: a 2000-tuple
@@ -156,5 +158,128 @@ func TestConcurrentMixedWorkloadMatchesSerialReplay(t *testing.T) {
 	// serial totals too.
 	if gc, wc := db.Store().Counters(), serial.Store().Counters(); gc != wc {
 		t.Errorf("store counters diverge:\n got %+v\nwant %+v", gc, wc)
+	}
+}
+
+// scratchDB is stressDB plus a second relation, so the mixed shapes
+// below include two-relation merges and a two-term difference (term
+// lanes, child arenas) next to the one-relation selection.
+func scratchDB(t *testing.T) *DB {
+	t.Helper()
+	db := stressDB(t)
+	rel, err := db.CreateRelation("archive", []Column{
+		{Name: "id", Type: Int},
+		{Name: "amount", Type: Int},
+	}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i += 2 {
+		if err := rel.Insert(i, (i*7919+3)%2000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+var scratchShapes = []string{
+	`select(orders, amount < 500)`,
+	`intersect(orders, archive)`,
+	`join(orders, archive, id = id)`,
+	`diff(orders, archive)`,
+}
+
+// TestConcurrentSessionsShareScratchPool: 8 goroutines issue 200 mixed
+// shapes each on one DB, every query taking its arena from — and
+// returning it to — the DB's one pool, so arenas warmed by one shape are
+// reused by another and by other goroutines. Each answer must equal its
+// serial twin's on an identical DB; under -race this is also the check
+// that no two queries ever hold the same arena.
+func TestConcurrentSessionsShareScratchPool(t *testing.T) {
+	const goroutines, iters = 8, 200
+	queries := make([]Query, len(scratchShapes))
+	for i, ra := range scratchShapes {
+		q, err := Parse(ra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+	}
+	slot := func(g, i int) (Query, EstimateOptions) {
+		return queries[(g+i)%len(queries)], EstimateOptions{
+			Quota:        4 * time.Second,
+			Seed:         int64(1000*g + i + 1),
+			Parallelism:  1 + (g+i)%4,
+			HardDeadline: i%5 == 0,
+		}
+	}
+	serial := scratchDB(t)
+	want := make([]Estimate, goroutines*iters)
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < iters; i++ {
+			q, opts := slot(g, i)
+			est, err := serial.CountEstimate(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g*iters+i] = *est
+		}
+	}
+	db := scratchDB(t)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				q, opts := slot(g, i)
+				est, err := db.CountEstimate(q, opts)
+				if err != nil {
+					t.Errorf("g%d i%d: %v", g, i, err)
+					return
+				}
+				if *est != want[g*iters+i] {
+					t.Errorf("g%d i%d: concurrent estimate diverges from its serial twin:\n got %+v\nwant %+v", g, i, *est, want[g*iters+i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if gc, wc := db.Store().Counters(), serial.Store().Counters(); gc != wc {
+		t.Errorf("store counters diverge:\n got %+v\nwant %+v", gc, wc)
+	}
+}
+
+// TestResultsSurviveScratchRecycling: what a query hands back — the
+// engine's Result with its stage records and group estimates, the
+// public estimate and the collected trace — is copied out of scratch at
+// the session boundary, so 1,000 further queries recycling (and, under
+// TestMain's poison, overwriting) the same arena must not change it.
+func TestResultsSurviveScratchRecycling(t *testing.T) {
+	db := scratchDB(t)
+	q, err := Parse(`diff(orders, archive)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := EstimateOptions{Quota: 6 * time.Second, Seed: 42, CollectTrace: true, Parallelism: 2}
+	res, est, err := db.run(q, core.AggCount, "", "amount", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.StageRecords) == 0 || len(res.Groups) == 0 || est.Trace == nil || len(est.Trace.Stages) == 0 {
+		t.Fatalf("fixture too small: %d stage records, %d groups, trace %v", len(res.StageRecords), len(res.Groups), est.Trace)
+	}
+	snapshot := func() string {
+		return fmt.Sprintf("%+v\n%+v\n%+v\n%+v\n%+v", *res, res.StageRecords, res.Groups, *est, *est.Trace)
+	}
+	before := snapshot()
+	for i := 0; i < 1000; i++ {
+		other, _ := Parse(scratchShapes[i%len(scratchShapes)])
+		if _, err := db.CountEstimate(other, EstimateOptions{Quota: 4 * time.Second, Seed: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := snapshot(); after != before {
+		t.Errorf("a kept result changed while its arena was recycled:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -375,14 +375,14 @@ func (db *DB) run(q Query, agg core.AggKind, col, groupBy string, opts EstimateO
 	// Each estimate runs on its own session: a confined clock and
 	// counter view over the shared catalog, making concurrent calls
 	// independent (and bit-reproducible under a simulated clock).
-	sess, finish := db.session(opts.Seed)
+	sess, sim := db.session(opts.Seed)
 	res, err := core.NewEngine(sess).Count(q.expr, coreOpts)
 	if err != nil {
 		handle.Discard()
-		finish(0)
+		db.endSession(sess, sim, 0)
 		return nil, nil, err
 	}
-	finish(res.Elapsed)
+	db.endSession(sess, sim, res.Elapsed)
 	var qt *QueryTrace
 	if collector != nil {
 		qt = collector.Trace()

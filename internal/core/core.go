@@ -31,6 +31,7 @@ import (
 	"tcq/internal/histogram"
 	"tcq/internal/ra"
 	"tcq/internal/sampling"
+	"tcq/internal/scratch"
 	"tcq/internal/stats"
 	"tcq/internal/storage"
 	"tcq/internal/timectrl"
@@ -272,6 +273,23 @@ type Engine struct {
 // NewEngine creates an engine over a store.
 func NewEngine(store *storage.Store) *Engine { return &Engine{store: store} }
 
+// queryState is what Count keeps on the query's arena from one query to
+// the next: the sampler RNG (re-seeded in place: the stream of a fresh
+// source, without its 4.9 KB), the default cost model, and the stage
+// loop's two pointer lists.
+type queryState struct {
+	rng      *rand.Rand
+	model    cost.Model
+	samplers []*sampling.RelationSample
+	roots    []*exec.NodeInfo
+}
+
+// Reset drops the ended query's pointers.
+func (st *queryState) Reset() {
+	clear(st.samplers[:cap(st.samplers)])
+	clear(st.roots[:cap(st.roots)])
+}
+
 // Count runs the time-constrained evaluation of COUNT(e) (Fig. 3.1).
 func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
@@ -360,9 +378,15 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 		warm, warmStale = opts.Catalog.Lookup(fingerprint, views)
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	samplers := map[string]*sampling.RelationSample{}
-	minBlocks, maxBlocks := math.MaxInt32, 0
+	st := scratch.Of[queryState](env.Scratch())
+	if st.rng == nil {
+		st.rng = rand.New(rand.NewSource(opts.Seed))
+	} else {
+		st.rng.Seed(opts.Seed)
+	}
+	rng := st.rng
+	samplers := st.samplers[:0] // one per feed, in feedNames order
+	maxBlocks := 0
 	for _, name := range feedNames {
 		f := q.Feeds[name]
 		units := f.Rel.NumBlocks()
@@ -373,25 +397,27 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 		if units == 0 {
 			return nil, fmt.Errorf("core: relation %q is empty", name)
 		}
+		var smp *sampling.RelationSample
 		if warm != nil {
 			// Replay the materialized seeded permutation: the warm
 			// sample is the catalog sample, drawn at build time.
-			samplers[name] = sampling.NewRelationSampleFromPerm(name, warm.Perm(name), f.Rel.NumTuples())
+			smp = sampling.NewRelationSampleFromPerm(name, warm.Perm(name), f.Rel.NumTuples())
 		} else {
-			samplers[name] = sampling.NewRelationSample(name, units, f.Rel.NumTuples(), rng)
+			smp = sampling.NewRelationSample(name, units, f.Rel.NumTuples(), rng)
 		}
-		if units < minBlocks {
-			minBlocks = units
-		}
+		smp.UseScratch(env.Scratch())
+		samplers = append(samplers, smp)
 		if units > maxBlocks {
 			maxBlocks = units
 		}
 	}
+	st.samplers = samplers
 
 	model := opts.Model
 	if model == nil {
-		bf := q.Feeds[firstKey(q.Feeds)].Rel.BlockingFactor()
-		model = cost.NewModel(cost.DefaultCoefficients(g.store.Costs(), bf), true)
+		bf := q.Feeds[feedNames[0]].Rel.BlockingFactor()
+		model = &st.model
+		model.Reset(cost.DefaultCoefficients(g.store.Costs(), bf), true)
 	}
 	strategy := opts.Strategy
 	if strategy == nil {
@@ -455,10 +481,11 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 		}
 
 		// Determine the stage sample fraction (Fig. 3.4).
-		var roots []*exec.NodeInfo
+		roots := st.roots[:0]
 		for _, te := range q.Terms {
 			roots = append(roots, exec.Snapshot(te.Root))
 		}
+		st.roots = roots
 		maxFraction, covered := 1.0, 1.0
 		for _, s := range samplers {
 			remFrac := float64(s.Remaining()) / float64(s.DTotal)
@@ -521,9 +548,9 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 		stageStart := clock.Now()
 		stageBlocks := 0
 		aborted := false
-		for _, name := range feedNames {
+		for i, name := range feedNames {
 			f := q.Feeds[name]
-			s := samplers[name]
+			s := samplers[i]
 			k := int(math.Round(plan.Fraction * float64(s.DTotal)))
 			if k < opts.MinStageBlocks {
 				k = opts.MinStageBlocks
@@ -583,8 +610,8 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 				Completed:   !aborted,
 				InTime:      !aborted && inTime,
 			}
-			for _, name := range feedNames {
-				s := samplers[name]
+			for i, name := range feedNames {
+				s := samplers[i]
 				if len(s.Stages) < stageIdx {
 					continue
 				}
@@ -683,12 +710,12 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 		if opts.GroupBy != "" {
 			res.Groups = q.GroupEstimates()
 		}
-		history = append(history, est.Value)
 		res.Stages = stageIdx
 		res.Blocks += stageBlocks
 		successfulEnd = stageEnd
 
 		if opts.Stop != nil {
+			history = append(history, est.Value)
 			state := timectrl.StopState{
 				Stage:    stageIdx,
 				Elapsed:  stageEnd - start,
@@ -1005,16 +1032,6 @@ func setMinFraction(s timectrl.Strategy, f float64) {
 	case *timectrl.Heuristic:
 		v.MinFraction = f
 	}
-}
-
-func firstKey(m map[string]*exec.Feed) string {
-	first := ""
-	for k := range m {
-		if first == "" || k < first {
-			first = k
-		}
-	}
-	return first
 }
 
 // FullScanCount evaluates COUNT(e) exactly WITH full cost accounting:

@@ -24,12 +24,6 @@ import (
 	"tcq/internal/storage"
 )
 
-// key identifies one fitted coefficient: a node's step.
-type key struct {
-	nodeID int
-	step   exec.StepKind
-}
-
 // fit accumulates observed (units, duration) pairs; the fitted
 // coefficient is the ratio of sums Σt/Σu, a units-weighted average that
 // is robust to per-stage jitter.
@@ -38,42 +32,34 @@ type fit struct {
 	seconds float64
 }
 
+// Operator and step kinds are dense ints; these size the tables.
+const (
+	numOps   = int(exec.OpProject) + 1
+	numSteps = int(exec.StepInit) + 1
+)
+
 // Coefficients is a per-(operator, step) table of seconds-per-unit
 // values, used both for designer defaults and for describing the true
-// simulated machine in tests.
-type Coefficients map[exec.OpKind]map[exec.StepKind]float64
-
-// clone deep-copies the table.
-func (c Coefficients) clone() Coefficients {
-	out := make(Coefficients, len(c))
-	for op, steps := range c {
-		m := make(map[exec.StepKind]float64, len(steps))
-		for s, v := range steps {
-			m[s] = v
-		}
-		out[op] = m
-	}
-	return out
-}
+// simulated machine in tests. It is a value: assignment copies it.
+type Coefficients [numOps][numSteps]float64
 
 // Get returns the coefficient for (op, step), or 0 when absent.
 func (c Coefficients) Get(op exec.OpKind, step exec.StepKind) float64 {
-	if m, ok := c[op]; ok {
-		return m[step]
+	if uint(op) >= uint(numOps) || uint(step) >= uint(numSteps) {
+		return 0
 	}
-	return 0
+	return c[op][step]
 }
 
 // Scale returns a copy with every coefficient multiplied by k (used by
 // tests and the adaptive-cost ablation to start the model off-true).
 func (c Coefficients) Scale(k float64) Coefficients {
-	out := c.clone()
-	for _, steps := range out {
-		for s := range steps {
-			steps[s] *= k
+	for op := range c {
+		for step := range c[op] {
+			c[op][step] *= k
 		}
 	}
-	return out
+	return c
 }
 
 // TrueCoefficients derives the exact per-unit costs implied by a
@@ -141,7 +127,9 @@ func DefaultCoefficients(p storage.CostProfile, blockingFactor int) Coefficients
 // Model is the adaptive cost model of one query session.
 type Model struct {
 	defaults Coefficients
-	fits     map[key]*fit
+	// fits holds one fit per (node, step), node-major; it grows to the
+	// largest node id observed.
+	fits     []fit
 	adaptive bool
 	// seenBase is PredictStage's scratch: the base relations already
 	// charged in the current evaluation. Reused across calls so a probe
@@ -153,11 +141,16 @@ type Model struct {
 // coefficients. adaptive enables run-time coefficient adjustment; with
 // adaptive=false the model is the paper's "fixed form" ablation.
 func NewModel(defaults Coefficients, adaptive bool) *Model {
-	return &Model{
-		defaults: defaults.clone(),
-		fits:     make(map[key]*fit),
-		adaptive: adaptive,
-	}
+	m := new(Model)
+	m.Reset(defaults, adaptive)
+	return m
+}
+
+// Reset returns the model to NewModel's state, forgetting every fit but
+// keeping its memory — how a query reuses the model of the one before.
+func (m *Model) Reset(defaults Coefficients, adaptive bool) {
+	m.defaults, m.adaptive = defaults, adaptive
+	m.fits = m.fits[:0]
 }
 
 // Observe folds a stage's recorded step timings into the per-node fits
@@ -170,14 +163,12 @@ func (m *Model) Observe(timings []exec.StepTiming) {
 		if t.Units <= 0 {
 			continue
 		}
-		k := key{t.NodeID, t.Step}
-		f := m.fits[k]
-		if f == nil {
-			f = &fit{}
-			m.fits[k] = f
+		i := t.NodeID*numSteps + int(t.Step)
+		if i >= len(m.fits) {
+			m.fits = append(m.fits, make([]fit, (t.NodeID+1)*numSteps-len(m.fits))...)
 		}
-		f.units += t.Units
-		f.seconds += t.Actual.Seconds()
+		m.fits[i].units += t.Units
+		m.fits[i].seconds += t.Actual.Seconds()
 	}
 }
 
@@ -185,10 +176,10 @@ func (m *Model) Observe(timings []exec.StepTiming) {
 // step: the fitted ratio when observations exist, the designer default
 // otherwise.
 func (m *Model) Coef(nodeID int, op exec.OpKind, step exec.StepKind) float64 {
-	if f, ok := m.fits[key{nodeID, step}]; ok && f.units > 0 {
-		return f.seconds / f.units
+	if i := nodeID*numSteps + int(step); i < len(m.fits) && m.fits[i].units > 0 {
+		return m.fits[i].seconds / m.fits[i].units
 	}
-	return m.defaults.Get(op, step)
+	return m.defaults[op][step]
 }
 
 // Adaptive reports whether run-time adjustment is enabled.

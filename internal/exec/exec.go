@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"tcq/internal/ra"
+	"tcq/internal/scratch"
 	"tcq/internal/sortx"
 	"tcq/internal/storage"
 	"tcq/internal/tuple"
@@ -132,19 +133,57 @@ type Env struct {
 	// (per-side sorts, the two bucket joins of a merge) may run on an
 	// extra goroutine when a slot is free. See runPar.
 	subSem chan struct{}
+	// mem is the arena of the goroutine the operators run on (rec: exec's
+	// own records on it), par that of runPar's second closure.
+	mem, par *scratch.Arena
+	rec      *slabs
 }
 
-// NewEnv creates an execution environment over a store.
-func NewEnv(store *storage.Store) *Env {
-	return &Env{Store: store}
+// slabs are the executor records a query's arena hands out.
+type slabs struct {
+	timings scratch.Slab[StepTiming]
+	charges scratch.Slab[chargeRun]
+	pending scratch.Slab[laneTiming]
+	groups  scratch.Slab[keyGroup]
+	refs    scratch.Slab[cumRef]
+	runs    scratch.Slab[sortedRun]
+	buckets scratch.Slab[pairBucket]
+	stages  scratch.Slab[*tuple.Batch]
+	bools   scratch.Slab[bool]
 }
+
+func (m *slabs) Reset() {
+	const junk = -0x5A5A5A5B
+	m.timings.Reset(StepTiming{NodeID: junk, Units: junk, Actual: junk})
+	m.charges.Reset(chargeRun{d: junk, n: junk})
+	m.pending.Reset(laneTiming{start: junk, end: junk})
+	m.groups.Reset(keyGroup{pre: 0xA5A5A5A5A5A5A5A5, cnt: junk})
+	m.refs.Reset(junk)
+	m.runs.Reset(sortedRun{})
+	m.buckets.Reset(pairBucket{})
+	m.stages.Reset(nil)
+	m.bools.Reset(true)
+}
+
+// NewEnv creates an execution environment on the store's query arena.
+func NewEnv(store *storage.Store) *Env { return newEnv(store, nil, store.Scratch()) }
+
+func newEnv(store *storage.Store, root *Env, mem *scratch.Arena) *Env {
+	return &Env{Store: store, root: root, mem: mem, par: mem.Child(), rec: scratch.Of[slabs](mem)}
+}
+
+// Scratch returns the arena of the query this environment evaluates.
+func (e *Env) Scratch() *scratch.Arena { return e.mem }
 
 // fork derives a per-term recording environment: same session store and
-// deadline, node ids allocated from the root, and all clock charges,
-// temp-file counters and step timings captured on a private lane until
-// replayLane folds them back in term order.
+// deadline, node ids allocated from the root, a child arena (the term
+// may run on its own goroutine), and all clock charges, temp-file
+// counters and step timings captured on a private lane until replayLane
+// folds them back in term order.
 func (e *Env) fork() *Env {
-	return &Env{Store: e.Store, root: e, lane: &lane{}}
+	f := newEnv(e.Store, e, e.mem.Child())
+	f.lane = &lane{rec: f.rec}
+	return f
 }
 
 // Clock returns the clock executors must charge: the per-term recording
@@ -158,7 +197,7 @@ func (e *Env) Clock() vclock.Clock {
 
 // NewScratchFile creates a charge-only temp file whose costs flow to
 // this environment's charge sink (lane or session store).
-func (e *Env) NewScratchFile(schema *tuple.Schema) *storage.TempFile {
+func (e *Env) NewScratchFile(schema *tuple.Schema) storage.TempFile {
 	if e.lane != nil {
 		return e.Store.NewScratchFileOn(schema, e.lane, &e.lane.counters)
 	}
@@ -255,9 +294,8 @@ func (e *Env) pollChargeRun(n int, d time.Duration) error {
 }
 
 // writeRun performs n iterations of {poll deadline; write to f} — the
-// output-loop shape of select and merge nodes. f must be a scratch
-// file (written tuples are charge-accounted, never stored), so the
-// unarmed path batches the writes through TempFile.WriteN.
+// output-loop shape of select and merge nodes. The unarmed path batches
+// the writes into one TempFile.WriteN.
 func (e *Env) writeRun(f *storage.TempFile, n int) error {
 	if n <= 0 {
 		return nil
@@ -267,7 +305,7 @@ func (e *Env) writeRun(f *storage.TempFile, n int) error {
 			if err := e.checkDeadline(); err != nil {
 				return err
 			}
-			f.Write(nil)
+			f.WriteN(1)
 		}
 		return nil
 	}
@@ -298,10 +336,10 @@ func (e *Env) record(nodeID int, op OpKind, step StepKind, units float64, actual
 	st := StepTiming{NodeID: nodeID, Op: op, Step: step, Units: units, Actual: actual}
 	if e.lane != nil {
 		end := int(e.lane.Now())
-		e.lane.pending = append(e.lane.pending, laneTiming{t: st, start: end - int(actual), end: end})
+		e.lane.pending = append(e.rec.pending.Grow(e.lane.pending, 1), laneTiming{t: st, start: end - int(actual), end: end})
 		return
 	}
-	e.Timings = append(e.Timings, st)
+	e.Timings = append(e.rec.timings.Grow(e.Timings, 1), st)
 }
 
 // chargeInit charges the fixed per-stage initialisation overhead of one
@@ -366,8 +404,6 @@ type Node interface {
 	ID() int
 	// Op returns the operator kind.
 	Op() OpKind
-	// Children returns the input nodes (empty for base nodes).
-	Children() []Node
 	// Schema returns the node's output schema.
 	Schema() *tuple.Schema
 	// Advance evaluates stage (0-based) and returns the new outputs.
@@ -409,9 +445,6 @@ func NewFeed(env *Env, rel *storage.Relation) *Feed {
 // before the first stage loads.
 func (f *Feed) SetSRS(srs bool) { f.srs = srs }
 
-// SRS reports whether the feed samples tuples rather than blocks.
-func (f *Feed) SRS() bool { return f.srs }
-
 // LoadStage reads the given sample as the feed's next stage: block
 // indices under cluster sampling, tuple indices under SRS (each tuple
 // read charges one full block read — random tuples live in random
@@ -427,7 +460,7 @@ func (f *Feed) LoadStage(indices []int) error {
 	if f.srs {
 		per = 1
 	}
-	stage := tuple.NewBatchCap(f.Rel.Schema(), len(indices)*per)
+	stage := tuple.NewBatchCap(f.env.mem, f.Rel.Schema(), len(indices)*per)
 	for _, i := range indices {
 		// The block to read and the block-relative row range to keep: the
 		// whole block under cluster sampling, one tuple under SRS.
@@ -445,7 +478,7 @@ func (f *Feed) LoadStage(indices []int) error {
 		}
 	}
 	f.env.record(f.nodeID, OpBase, StepRead, float64(len(indices)), clock.Now()-t0)
-	f.stages = append(f.stages, stage)
+	f.stages = append(f.env.rec.stages.Grow(f.stages, 1), stage)
 	f.cumTuples += int64(stage.Len())
 	f.cumBlocks += len(indices) // under SRS: blocks touched (no caching assumed)
 	return nil
@@ -568,6 +601,7 @@ type baseNode struct {
 	feed  *Feed
 	src   ra.Expr
 	stats Stats
+	info  NodeInfo
 }
 
 func newBaseNode(env *Env, feed *Feed, src ra.Expr) (Node, error) {
@@ -580,14 +614,9 @@ func newBaseNode(env *Env, feed *Feed, src ra.Expr) (Node, error) {
 
 func (n *baseNode) ID() int               { return n.id }
 func (n *baseNode) Op() OpKind            { return OpBase }
-func (n *baseNode) Children() []Node      { return nil }
 func (n *baseNode) Schema() *tuple.Schema { return n.feed.Rel.Schema() }
 func (n *baseNode) Stats() Stats          { return n.stats }
 func (n *baseNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
-
-// Feed returns the node's sample feed (the engine uses it to size the
-// point space).
-func (n *baseNode) Feed() *Feed { return n.feed }
 
 func (n *baseNode) Advance(stage int) (*tuple.Batch, error) {
 	if stage < 0 || stage >= len(n.feed.stages) {
@@ -599,15 +628,6 @@ func (n *baseNode) Advance(stage int) (*tuple.Batch, error) {
 	return in, nil
 }
 
-// BaseFeedOf returns the Feed when n is a base node.
-func BaseFeedOf(n Node) (*Feed, bool) {
-	b, ok := n.(*baseNode)
-	if !ok {
-		return nil, false
-	}
-	return b.feed, true
-}
-
 // ---------------------------------------------------------------------------
 // Select node (Fig. 4.3)
 
@@ -615,13 +635,12 @@ type selectNode struct {
 	id       int
 	child    Node
 	pred     ra.BatchPred
-	bits     []bool  // reusable predicate output buffer
-	sel      []int32 // reusable kept-row index buffer
 	predSize int
 	src      ra.Expr
 	env      *Env
-	out      *storage.TempFile
+	out      storage.TempFile
 	stats    Stats
+	info     NodeInfo
 }
 
 func newSelectNode(env *Env, child Node, pred ra.Pred, src ra.Expr) (Node, error) {
@@ -646,7 +665,6 @@ func newSelectNode(env *Env, child Node, pred ra.Pred, src ra.Expr) (Node, error
 
 func (n *selectNode) ID() int               { return n.id }
 func (n *selectNode) Op() OpKind            { return OpSelect }
-func (n *selectNode) Children() []Node      { return []Node{n.child} }
 func (n *selectNode) Schema() *tuple.Schema { return n.child.Schema() }
 func (n *selectNode) Stats() Stats          { return n.stats }
 func (n *selectNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
@@ -666,29 +684,26 @@ func (n *selectNode) Advance(stage int) (*tuple.Batch, error) {
 	// an armed deadline aborts at the tuple a tuple-at-a-time scan would
 	// have stopped at.
 	t0 := clock.Now()
-	if cap(n.bits) < in.Len() {
-		n.bits = make([]bool, in.Len())
-	}
-	bits := n.bits[:in.Len()]
+	bits := n.env.rec.bools.Alloc(in.Len())
 	n.pred(in, bits)
 	if err := n.env.pollChargeRun(in.Len(), time.Duration(n.predSize)*costs.TupleCheck); err != nil {
 		return nil, err
 	}
-	n.sel = n.sel[:0]
+	sel := n.env.mem.I32.Alloc(in.Len())[:0]
 	for i, keep := range bits {
 		if keep {
-			n.sel = append(n.sel, int32(i))
+			sel = append(sel, int32(i))
 		}
 	}
 	out := in
-	if len(n.sel) < in.Len() {
-		out = in.Gather(n.sel)
+	if len(sel) < in.Len() {
+		out = in.Gather(n.env.mem, sel)
 	}
 	n.env.record(n.id, OpSelect, StepScan, float64(in.Len()), clock.Now()-t0)
 
 	// Write output pages (cost C1·p of eq. 4.1).
 	t0 = clock.Now()
-	if err := n.env.writeRun(n.out, out.Len()); err != nil {
+	if err := n.env.writeRun(&n.out, out.Len()); err != nil {
 		return nil, err
 	}
 	n.out.Flush()
@@ -709,18 +724,11 @@ type projectNode struct {
 	schema    *tuple.Schema
 	src       ra.Expr
 	env       *Env
-	temp      *storage.TempFile
-	out       *storage.TempFile
+	temp      storage.TempFile
+	out       storage.TempFile
 	occupancy map[string]int // normalized key → times seen in the cumulative sample
 	stats     Stats
-	// keyArena/keyScratch recycle the per-stage normalized-key build
-	// across stages: the projection's keys are transient (the occupancy
-	// map copies them via string conversion and the sort gathers into
-	// its own slice), so unlike the merge sides' retained run keys they
-	// can share one arena for the whole query.
-	keyArena   []byte
-	keyScratch [][]byte
-	fresh      []int32 // reusable newly-distinct row index buffer
+	info      NodeInfo
 }
 
 func newProjectNode(env *Env, child Node, cols []string, src ra.Expr) (Node, error) {
@@ -743,7 +751,6 @@ func newProjectNode(env *Env, child Node, cols []string, src ra.Expr) (Node, err
 
 func (n *projectNode) ID() int               { return n.id }
 func (n *projectNode) Op() OpKind            { return OpProject }
-func (n *projectNode) Children() []Node      { return []Node{n.child} }
 func (n *projectNode) Schema() *tuple.Schema { return n.schema }
 func (n *projectNode) Stats() Stats          { return n.stats }
 func (n *projectNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
@@ -775,8 +782,8 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	// Step 1: write projected attributes to a temporary file. The
 	// projection itself is a zero-copy column view.
 	t0 := clock.Now()
-	proj := in.Project(n.schema, n.idx)
-	if err := n.env.writeRun(n.temp, proj.Len()); err != nil {
+	proj := in.Project(n.env.mem, n.schema, n.idx)
+	if err := n.env.writeRun(&n.temp, proj.Len()); err != nil {
 		return nil, err
 	}
 	n.temp.Flush()
@@ -788,8 +795,7 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	// Step 2: sort the temporary file (this stage's run) — an argsort
 	// over the rows' normalized keys.
 	t0 = clock.Now()
-	n.keyArena, n.keyScratch = batchNormKeysInto(n.keyArena, n.keyScratch, proj, nil, nil)
-	res := sortx.SortKeyedIdx(n.keyScratch, 0)
+	res := sortx.SortKeyedIdx(n.env.mem, batchNormKeys(n.env.mem, proj, nil, nil), 0)
 	if err := n.env.chargeChunked(res.Comparisons, costs.TupleCompare); err != nil {
 		return nil, err
 	}
@@ -801,7 +807,7 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	// per-tuple one (poll, check charge, then the group winner's write,
 	// then the remaining members' poll+charge pairs).
 	t0 = clock.Now()
-	n.fresh = n.fresh[:0]
+	fresh := n.env.mem.I32.Alloc(len(res.Keys))[:0]
 	keys := res.Keys
 	for i := 0; i < len(keys); {
 		j := i + 1
@@ -813,7 +819,7 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 			return nil, err
 		}
 		if prior == 0 {
-			n.fresh = append(n.fresh, res.Perm[i])
+			fresh = append(fresh, res.Perm[i])
 			n.out.WriteN(1)
 		}
 		if err := n.env.pollChargeRun(j-i-1, costs.TupleCheck); err != nil {
@@ -825,7 +831,7 @@ func (n *projectNode) Advance(stage int) (*tuple.Batch, error) {
 	n.out.Flush()
 	n.env.record(n.id, OpProject, StepScan, float64(proj.Len()), clock.Now()-t0)
 
-	out := proj.Gather(n.fresh)
+	out := proj.Gather(n.env.mem, fresh)
 	n.stats.CumPoints += float64(in.Len())
 	n.stats.CumOut += float64(out.Len())
 	return out, nil
@@ -861,10 +867,12 @@ type mergeNode struct {
 	bucketsA []pairBucket
 	bucketsB []pairBucket
 
-	lcum  int64
-	rcum  int64
-	out   *storage.TempFile
-	stats Stats
+	lcum int64
+	rcum int64
+	// Charge-only files: both sides' stage samples and the output.
+	lTemp, rTemp, out storage.TempFile
+	stats             Stats
+	info              NodeInfo
 }
 
 func newJoinNode(env *Env, left, right Node, on []ra.JoinCond, plan Plan, src ra.Expr) (Node, error) {
@@ -881,6 +889,7 @@ func newJoinNode(env *Env, left, right Node, on []ra.JoinCond, plan Plan, src ra
 		lcols: lcols, rcols: rcols, schema: schema,
 		widen: tuple.JoinWiden(left.Schema(), lcols, right.Schema(), rcols),
 		env:   env, plan: plan, out: env.NewScratchFile(schema),
+		lTemp: env.NewScratchFile(left.Schema()), rTemp: env.NewScratchFile(right.Schema()),
 	}, nil
 }
 
@@ -897,12 +906,12 @@ func newIntersectNode(env *Env, left, right Node, plan Plan, src ra.Expr) (Node,
 		id: env.newID(), op: OpIntersect, src: src, left: left, right: right,
 		lcols: all, rcols: all, schema: ls,
 		env: env, plan: plan, out: env.NewScratchFile(ls),
+		lTemp: env.NewScratchFile(ls), rTemp: env.NewScratchFile(rs),
 	}, nil
 }
 
 func (n *mergeNode) ID() int               { return n.id }
 func (n *mergeNode) Op() OpKind            { return n.op }
-func (n *mergeNode) Children() []Node      { return []Node{n.left, n.right} }
 func (n *mergeNode) Schema() *tuple.Schema { return n.schema }
 func (n *mergeNode) Stats() Stats          { return n.stats }
 func (n *mergeNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
@@ -923,16 +932,14 @@ func (n *mergeNode) Advance(stage int) (*tuple.Batch, error) {
 	// Step 1: write sample tuples to temporary files (eq. 4.2). The
 	// files are charge-only: both samples are already in memory.
 	t0 := clock.Now()
-	lTemp := n.env.NewScratchFile(n.left.Schema())
-	if err := n.env.writeRun(lTemp, newL.Len()); err != nil {
+	if err := n.env.writeRun(&n.lTemp, newL.Len()); err != nil {
 		return nil, err
 	}
-	lTemp.Flush()
-	rTemp := n.env.NewScratchFile(n.right.Schema())
-	if err := n.env.writeRun(rTemp, newR.Len()); err != nil {
+	n.lTemp.Flush()
+	if err := n.env.writeRun(&n.rTemp, newR.Len()); err != nil {
 		return nil, err
 	}
-	rTemp.Flush()
+	n.rTemp.Flush()
 	n.env.record(n.id, n.op, StepWrite, float64(newL.Len()+newR.Len()), clock.Now()-t0)
 	if err := n.env.checkDeadline(); err != nil {
 		return nil, err
@@ -966,7 +973,7 @@ func (n *mergeNode) Advance(stage int) (*tuple.Batch, error) {
 
 	// Write output pages.
 	t0 = clock.Now()
-	if err := n.env.writeRun(n.out, out.Len()); err != nil {
+	if err := n.env.writeRun(&n.out, out.Len()); err != nil {
 		return nil, err
 	}
 	n.out.Flush()
@@ -993,14 +1000,6 @@ func nLogN(n int) float64 {
 		return 0
 	}
 	return float64(n) * math.Log2(float64(n))
-}
-
-// Walk visits every node of a tree depth-first (children first).
-func Walk(n Node, fn func(Node)) {
-	for _, c := range n.Children() {
-		Walk(c, fn)
-	}
-	fn(n)
 }
 
 // IsAborted reports whether err is a deadline abort.

@@ -40,9 +40,6 @@ func (te *TermExec) SetGroupBy(col string) error {
 	return nil
 }
 
-// GroupTallies returns the cumulative per-group output tuple counts.
-func (te *TermExec) GroupTallies() map[tuple.Value]int64 { return te.groups }
-
 // groupEstimate returns one group's COUNT estimate for this term.
 func (te *TermExec) groupEstimate(key tuple.Value) estimator.Estimate {
 	pointsEval := te.PointsEvaluated()

@@ -1,14 +1,12 @@
 package exec
 
-import (
-	"tcq/internal/ra"
-	"tcq/internal/tuple"
-)
+import "tcq/internal/ra"
 
-// NodeInfo is an immutable snapshot of an executor node, consumed by the
-// adaptive cost model (internal/cost) and the time-control strategies
+// NodeInfo is a snapshot of an executor node, consumed by the adaptive
+// cost model (internal/cost) and the time-control strategies
 // (internal/timectrl) — they predict the next stage's cost from the
 // tree's structure and cumulative state without touching live nodes.
+// Nodes own their NodeInfo: a tree is valid until its next Snapshot.
 type NodeInfo struct {
 	ID       int
 	Op       OpKind
@@ -46,22 +44,17 @@ type NodeInfo struct {
 	// Src is the relational algebra expression the node evaluates
 	// (used by the prestored-selectivity oracle of §3.1).
 	Src ra.Expr
+
+	kids [2]*NodeInfo // backing array of Children
 }
 
-// Snapshot captures the current state of an executor tree.
+// Snapshot captures the current state of an executor tree into the
+// nodes' own NodeInfo records.
 func Snapshot(n Node) *NodeInfo {
-	info := &NodeInfo{
-		ID:           n.ID(),
-		Op:           n.Op(),
-		CumOut:       n.CumOutTuples(),
-		CumPoints:    n.Stats().CumPoints,
-		OutTupleSize: n.Schema().TupleSize(),
-	}
-	for _, c := range n.Children() {
-		info.Children = append(info.Children, Snapshot(c))
-	}
+	var info *NodeInfo
 	switch v := n.(type) {
 	case *baseNode:
+		info = &v.info
 		info.BaseName = v.feed.Rel.Name()
 		info.BaseTuples = v.feed.Rel.NumTuples()
 		info.BaseBlocks = v.feed.Rel.NumBlocks()
@@ -69,15 +62,31 @@ func Snapshot(n Node) *NodeInfo {
 		info.SRS = v.feed.srs
 		info.Src = v.src
 	case *selectNode:
+		info = &v.info
 		info.PredComparisons = v.predSize
 		info.Src = v.src
+		info.kids[0] = Snapshot(v.child)
+		info.Children = info.kids[:1]
 	case *projectNode:
+		info = &v.info
 		info.Src = v.src
+		info.kids[0] = Snapshot(v.child)
+		info.Children = info.kids[:1]
 	case *mergeNode:
+		info = &v.info
 		info.Plan = v.plan
 		info.NumRuns = v.stages
 		info.Src = v.src
+		info.kids[0], info.kids[1] = Snapshot(v.left), Snapshot(v.right)
+		info.Children = info.kids[:2]
+	default: // a leaf the executor did not build (tests' stub inputs)
+		info = &NodeInfo{}
 	}
+	info.ID = n.ID()
+	info.Op = n.Op()
+	info.CumOut = n.CumOutTuples()
+	info.CumPoints = n.Stats().CumPoints
+	info.OutTupleSize = n.Schema().TupleSize()
 	return info
 }
 
@@ -88,7 +97,3 @@ func WalkInfo(n *NodeInfo, fn func(*NodeInfo)) {
 	}
 	fn(n)
 }
-
-// SchemaOf is a convenience returning a node's schema (exported for
-// tests in other packages).
-func SchemaOf(n Node) *tuple.Schema { return n.Schema() }

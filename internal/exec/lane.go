@@ -38,6 +38,7 @@ type lane struct {
 	total    int          // Σ runs[i].n — the charge-log length
 	pending  []laneTiming // step timings as charge-log spans
 	counters storage.Counters
+	rec      *slabs // the lane environment's record slabs: runs grows there
 }
 
 // chargeRun is a run of n consecutive identical charges of duration d.
@@ -76,7 +77,7 @@ func (l *lane) append(d time.Duration, n int) {
 	if k := len(l.runs) - 1; k >= 0 && l.runs[k].d == d {
 		l.runs[k].n += n
 	} else {
-		l.runs = append(l.runs, chargeRun{d: d, n: n})
+		l.runs = append(l.rec.charges.Grow(l.runs, 1), chargeRun{d: d, n: n})
 	}
 	l.total += n
 }
@@ -107,16 +108,16 @@ func (e *Env) replayLane(root *Env) {
 	clock := root.Store.Clock()
 
 	// Sorted span boundaries at which the replay must read the clock.
-	bounds := make([]int, 0, 2*len(l.pending))
+	bounds := root.mem.Idx.Alloc(2 * len(l.pending))[:0]
 	for _, lt := range l.pending {
 		bounds = append(bounds, lt.start, lt.end)
 	}
 	sort.Ints(bounds)
-	at := make(map[int]time.Duration, len(bounds))
+	at := root.mem.Ints.Alloc(len(bounds))
 	pos, bi := 0, 0
 	mark := func() {
 		for bi < len(bounds) && bounds[bi] == pos {
-			at[pos] = clock.Now()
+			at[bi] = int64(clock.Now())
 			bi++
 		}
 	}
@@ -136,8 +137,8 @@ func (e *Env) replayLane(root *Env) {
 	}
 	for _, lt := range l.pending {
 		st := lt.t
-		st.Actual = at[lt.end] - at[lt.start]
-		root.Timings = append(root.Timings, st)
+		st.Actual = time.Duration(at[sort.SearchInts(bounds, lt.end)] - at[sort.SearchInts(bounds, lt.start)])
+		root.Timings = append(root.rec.timings.Grow(root.Timings, 1), st)
 	}
 	root.Comparisons += e.Comparisons
 	root.DeadlinePolls += e.DeadlinePolls

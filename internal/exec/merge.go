@@ -36,6 +36,7 @@ package exec
 import (
 	"bytes"
 
+	"tcq/internal/scratch"
 	"tcq/internal/sortx"
 	"tcq/internal/tuple"
 )
@@ -49,15 +50,16 @@ const mergePollInterval = 1024
 // row perm[i] of b, keys[i] its normalized key and pres[i] the key's
 // 8-byte abbreviation (sortx.IdxResult.Pres: unequal abbreviations
 // decide a comparison, equal ones fall back to the full keys). The
-// batch itself is never reordered.
+// batch itself is never reordered. groups is set by mergeSide.addRun.
 type sortedRun struct {
-	b    *tuple.Batch
-	perm []int32
-	keys [][]byte
-	pres []uint64
+	b      *tuple.Batch
+	perm   []int32
+	keys   [][]byte
+	pres   []uint64
+	groups []keyGroup
 }
 
-func (r sortedRun) len() int { return len(r.keys) }
+func (r *sortedRun) len() int { return len(r.keys) }
 
 // cmpKeys compares two normalized keys through their abbreviations.
 func cmpKeys(pa uint64, ka []byte, pb uint64, kb []byte) int {
@@ -82,10 +84,9 @@ type keyGroup struct {
 	cnt int
 }
 
-// groupsOf builds the group summary of a key-sorted run. The summary is
-// retained for the query's lifetime, so it is sized exactly (count
-// pass, then fill) rather than grown by append.
-func groupsOf(keys [][]byte, pres []uint64) []keyGroup {
+// groupsOf builds the group summary of a key-sorted run, sized exactly
+// (count pass, then fill).
+func groupsOf(rec *slabs, keys [][]byte, pres []uint64) []keyGroup {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -95,7 +96,7 @@ func groupsOf(keys [][]byte, pres []uint64) []keyGroup {
 			n++
 		}
 	}
-	gs := make([]keyGroup, 0, n)
+	gs := rec.groups.Alloc(n)[:0]
 	for i := 0; i < len(keys); {
 		j := i + 1
 		for j < len(keys) && eqKeys(pres[j], keys[j], pres[i], keys[i]) {
@@ -138,39 +139,17 @@ func pairComps(gl, gr []keyGroup) int64 {
 }
 
 // batchNormKeys encodes the normalized key of every row on the given
-// columns, packing all keys into one arena allocation. The keys are
-// freshly allocated and may be retained indefinitely (the merge sides
-// keep their runs' keys for the query lifetime).
-func batchNormKeys(b *tuple.Batch, cols []int, widen []bool) [][]byte {
-	if b.Len() == 0 {
-		return nil
-	}
-	_, keys := batchNormKeysInto(nil, nil, b, cols, widen)
-	return keys
-}
-
-// batchNormKeysInto is batchNormKeys over caller-owned scratch: the
-// arena and the key-slice header are reused when their capacity
-// suffices, so a caller that rebuilds keys every stage (the projection
-// dedup) amortizes to zero allocations instead of one arena pair per
-// stage. The returned keys alias the returned arena and are valid only
-// until the next call with the same scratch — callers that retain keys
-// (the merge sides' sorted runs) must use batchNormKeys instead.
-func batchNormKeysInto(arena []byte, keys [][]byte, b *tuple.Batch, cols []int, widen []bool) ([]byte, [][]byte) {
+// columns, packing all keys into one piece of the arena sized exactly
+// by NormKeysSize; the keys are valid until the query's session ends.
+func batchNormKeys(a *scratch.Arena, b *tuple.Batch, cols []int, widen []bool) [][]byte {
 	n := b.Len()
-	if need := b.NormKeysSize(cols); cap(arena) < need {
-		arena = make([]byte, 0, need)
-	}
-	if cap(keys) < n {
-		keys = make([][]byte, n)
-	}
-	arena, keys = arena[:0], keys[:n]
+	arena, keys := a.Bytes.Alloc(b.NormKeysSize(cols))[:0], a.Keys.Alloc(n)
 	for i := 0; i < n; i++ {
 		start := len(arena)
 		arena = b.AppendNormKey(arena, i, cols, widen)
 		keys[i] = arena[start:len(arena):len(arena)]
 	}
-	return arena, keys
+	return keys
 }
 
 // cumRef packs the position of one cumulative-run element: the stage
@@ -188,10 +167,9 @@ func (r cumRef) idx() int           { return int(int32(int64(r))) }
 // position within their stage's run (the order a stage-by-stage stable
 // merge produces).
 type mergeSide struct {
-	runs      []sortedRun
-	runGroups [][]keyGroup
-	cum       []cumRef
-	spare     []cumRef // double-buffer target for the next merge
+	runs  []sortedRun
+	cum   []cumRef
+	spare []cumRef // double-buffer target for the next merge
 }
 
 func (s *mergeSide) key(r cumRef) []byte { return s.runs[r.stage()].keys[r.idx()] }
@@ -200,10 +178,10 @@ func (s *mergeSide) row(r cumRef) int32  { return s.runs[r.stage()].perm[r.idx()
 
 // addRun appends a stage's sorted run and folds it into the cumulative
 // order, old elements winning key ties (stage-stable).
-func (s *mergeSide) addRun(r sortedRun) {
+func (s *mergeSide) addRun(rec *slabs, r sortedRun) {
 	stage := len(s.runs)
-	s.runs = append(s.runs, r)
-	s.runGroups = append(s.runGroups, groupsOf(r.keys, r.pres))
+	r.groups = groupsOf(rec, r.keys, r.pres)
+	s.runs = append(rec.runs.Grow(s.runs, 1), r)
 	if r.len() == 0 {
 		return
 	}
@@ -211,8 +189,8 @@ func (s *mergeSide) addRun(r sortedRun) {
 	out := s.spare[:0]
 	if cap(out) < need {
 		// Overallocate so the buffer survives several generations of
-		// the double-buffer swap instead of reallocating every stage.
-		out = make([]cumRef, 0, need+need/2)
+		// the double-buffer swap instead of being replaced every stage.
+		out = rec.refs.Alloc(need + need/2)[:0]
 	}
 	i, j := 0, 0
 	for i < len(s.cum) && j < r.len() {
@@ -237,19 +215,23 @@ func (s *mergeSide) addRun(r sortedRun) {
 // parallel row indices into the pair's left and right batches.
 type pairBucket struct{ l, r []int32 }
 
-func (p *pairBucket) add(l, r int32) {
+// add appends one match, growing on the filling goroutine's arena.
+func (p *pairBucket) add(mem *scratch.Arena, l, r int32) {
+	if len(p.l) == cap(p.l) {
+		p.l, p.r = mem.I32.Grow(p.l, 1), mem.I32.Grow(p.r, 1)
+	}
 	p.l = append(p.l, l)
 	p.r = append(p.r, r)
 }
 
 // resetBuckets returns buf resized to n empty buckets, reusing backing
 // arrays from previous stages.
-func resetBuckets(buf []pairBucket, n int) []pairBucket {
+func resetBuckets(rec *slabs, buf []pairBucket, n int) []pairBucket {
 	for i := range buf {
 		buf[i].l, buf[i].r = buf[i].l[:0], buf[i].r[:0]
 	}
 	for len(buf) < n {
-		buf = append(buf, pairBucket{})
+		buf = append(rec.buckets.Grow(buf, 1), pairBucket{})
 	}
 	return buf[:n]
 }
@@ -274,10 +256,10 @@ func countPoll(c *int64) func() error {
 // in the same order: keys ascending, left-major within a key.
 //
 // poll is a parameter so the two bucket joins of a stage can run on
-// separate goroutines, each with a local poll counter (see
+// separate goroutines, each with a local poll counter and arena (see
 // advanceCumulative). The walk itself reads only immutable run/cum
 // state and writes only its own buckets.
-func bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets []pairBucket, poll func() error) error {
+func bucketJoin(mem *scratch.Arena, nw sortedRun, side *mergeSide, newIsLeft bool, buckets []pairBucket, poll func() error) error {
 	cum := side.cum
 	i, j := 0, 0
 	ops := 0
@@ -312,7 +294,7 @@ func bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets []pairBuc
 							return err
 						}
 					}
-					buckets[cum[b].stage()].add(nw.perm[a], side.row(cum[b]))
+					buckets[cum[b].stage()].add(mem, nw.perm[a], side.row(cum[b]))
 				}
 			}
 		} else {
@@ -324,7 +306,7 @@ func bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets []pairBuc
 							return err
 						}
 					}
-					bk.add(row, nw.perm[a])
+					bk.add(mem, row, nw.perm[a])
 				}
 			}
 		}
@@ -370,14 +352,15 @@ func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) (*tuple.Batch, float
 	// join's polls counted locally and folded back in join order. Under
 	// an armed deadline the serial walk is kept: an abort's position
 	// depends on the global poll interleaving.
-	n.rside.addRun(rRun)
-	n.bucketsA = resetBuckets(n.bucketsA, s+1)
-	n.bucketsB = resetBuckets(n.bucketsB, s)
+	mem, par := n.env.mem, n.env.par
+	n.rside.addRun(n.env.rec, rRun)
+	n.bucketsA = resetBuckets(n.env.rec, n.bucketsA, s+1)
+	n.bucketsB = resetBuckets(n.env.rec, n.bucketsB, s)
 	if n.env.armedDeadline().Armed() {
-		if err := bucketJoin(lRun, &n.rside, true, n.bucketsA, n.env.checkDeadline); err != nil {
+		if err := bucketJoin(mem, lRun, &n.rside, true, n.bucketsA, n.env.checkDeadline); err != nil {
 			return nil, 0, err
 		}
-		if err := bucketJoin(rRun, &n.lside, false, n.bucketsB, n.env.checkDeadline); err != nil {
+		if err := bucketJoin(par, rRun, &n.lside, false, n.bucketsB, n.env.checkDeadline); err != nil {
 			return nil, 0, err
 		}
 	} else {
@@ -386,28 +369,28 @@ func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) (*tuple.Batch, float
 		sizeB := rRun.len() + len(n.lside.cum)
 		// A counting poll never fails, so neither can these walks.
 		n.env.runPar(min(sizeA, sizeB), func() {
-			bucketJoin(lRun, &n.rside, true, n.bucketsA, countPoll(&pollsA))
+			bucketJoin(mem, lRun, &n.rside, true, n.bucketsA, countPoll(&pollsA))
 		}, func() {
-			bucketJoin(rRun, &n.lside, false, n.bucketsB, countPoll(&pollsB))
+			bucketJoin(par, rRun, &n.lside, false, n.bucketsB, countPoll(&pollsB))
 		})
 		n.env.DeadlinePolls += pollsA + pollsB
 	}
-	n.lside.addRun(lRun)
+	n.lside.addRun(n.env.rec, lRun)
 
 	// Simulated charges, in the per-pair plan's order.
-	lg := n.lside.runGroups[s]
-	rg := n.rside.runGroups[s]
+	lg := n.lside.runs[s].groups
+	rg := n.rside.runs[s].groups
 	var mergeUnits float64
 	for i := 0; i <= s; i++ {
 		rLen := n.rside.runs[i].len()
-		if err := n.chargePair(lRun.len(), rLen, pairComps(lg, n.rside.runGroups[i])); err != nil {
+		if err := n.chargePair(lRun.len(), rLen, pairComps(lg, n.rside.runs[i].groups)); err != nil {
 			return nil, 0, err
 		}
 		mergeUnits += float64(lRun.len() + rLen)
 	}
 	for i := 0; i < s; i++ {
 		lLen := n.lside.runs[i].len()
-		if err := n.chargePair(lLen, rRun.len(), pairComps(n.lside.runGroups[i], rg)); err != nil {
+		if err := n.chargePair(lLen, rRun.len(), pairComps(n.lside.runs[i].groups, rg)); err != nil {
 			return nil, 0, err
 		}
 		mergeUnits += float64(lLen + rRun.len())
@@ -422,7 +405,7 @@ func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) (*tuple.Batch, float
 	for _, bk := range n.bucketsB {
 		total += len(bk.l)
 	}
-	out := tuple.NewBatchCap(n.schema, total)
+	out := tuple.NewBatchCap(mem, n.schema, total)
 	for i, bk := range n.bucketsA {
 		n.gather(out, lRun.b, n.rside.runs[i].b, bk)
 	}
@@ -476,7 +459,7 @@ func (n *mergeNode) advanceSameStage(l, r sortedRun) (*tuple.Batch, float64, err
 						}
 					}
 					emitted++
-					bk.add(l.perm[a], r.perm[b])
+					bk.add(n.env.mem, l.perm[a], r.perm[b])
 				}
 			}
 			i, j = i2, j2
@@ -485,7 +468,7 @@ func (n *mergeNode) advanceSameStage(l, r sortedRun) (*tuple.Batch, float64, err
 	if err := n.env.chargeChunked(comps, n.env.Store.Costs().TupleCompare); err != nil {
 		return nil, 0, err
 	}
-	out := tuple.NewBatchCap(n.schema, len(bk.l))
+	out := tuple.NewBatchCap(n.env.mem, n.schema, len(bk.l))
 	n.gather(out, l.b, r.b, bk)
 	return out, float64(l.len() + r.len()), nil
 }
@@ -493,22 +476,21 @@ func (n *mergeNode) advanceSameStage(l, r sortedRun) (*tuple.Batch, float64, err
 // sortNewRuns sorts both sides' new samples (step 2) by their cached
 // normalized keys and returns the runs plus the comparison count to
 // charge. The two sides are independent and charge-free, so they may
-// run on two goroutines (runPar) when a sub-worker slot is free: the
-// comparison counts are deterministic functions of the inputs and are
-// charged by the caller afterwards, so scheduling cannot perturb the
-// simulation. The keys end up retained in the side's sortedRun for the
-// rest of the query, hence the allocating key builder.
+// run on two goroutines (runPar) when a sub-worker slot is free, the
+// second on the environment's par arena: the comparison counts are
+// deterministic functions of the inputs and are charged by the caller
+// afterwards, so scheduling cannot perturb the simulation.
 func (n *mergeNode) sortNewRuns(newL, newR *tuple.Batch) (lRun, rRun sortedRun, comps int64) {
 	var lc, rc int64
 	n.env.runPar(min(newL.Len(), newR.Len()), func() {
-		lRun, lc = sortRun(newL, n.lcols, n.widen)
+		lRun, lc = sortRun(n.env.mem, newL, n.lcols, n.widen)
 	}, func() {
-		rRun, rc = sortRun(newR, n.rcols, n.widen)
+		rRun, rc = sortRun(n.env.par, newR, n.rcols, n.widen)
 	})
 	return lRun, rRun, lc + rc
 }
 
-func sortRun(b *tuple.Batch, cols []int, widen []bool) (sortedRun, int64) {
-	res := sortx.SortKeyedIdx(batchNormKeys(b, cols, widen), 0)
+func sortRun(a *scratch.Arena, b *tuple.Batch, cols []int, widen []bool) (sortedRun, int64) {
+	res := sortx.SortKeyedIdx(a, batchNormKeys(a, b, cols, widen), 0)
 	return sortedRun{b: b, perm: res.Perm, keys: res.Keys, pres: res.Pres}, res.Comparisons
 }

@@ -33,7 +33,7 @@ type oracleMerge struct {
 	ls, rs       *tuple.Schema
 	lcols, rcols []int
 	lruns, rruns [][]tuple.Tuple
-	out          *storage.TempFile
+	out          storage.TempFile
 	lcum, rcum   int64
 	stats        Stats
 }
@@ -68,7 +68,7 @@ func (o *oracleMerge) sortRun(ts []tuple.Tuple, cols []int) ([]tuple.Tuple, int6
 	for i, t := range ts {
 		keys[i] = tuple.AppendNormKey(nil, t, cols, widen)
 	}
-	res := sortx.SortKeyedIdx(keys, 0)
+	res := sortx.SortKeyedIdx(o.env.mem, keys, 0)
 	sorted := make([]tuple.Tuple, len(ts))
 	for i, j := range res.Perm {
 		sorted[i] = ts[j]
@@ -135,12 +135,12 @@ func (o *oracleMerge) advance(newL, newR []tuple.Tuple) ([]tuple.Tuple, error) {
 
 	t0 := clock.Now()
 	lTemp := env.NewScratchFile(o.ls)
-	if err := env.writeRun(lTemp, len(newL)); err != nil {
+	if err := env.writeRun(&lTemp, len(newL)); err != nil {
 		return nil, err
 	}
 	lTemp.Flush()
 	rTemp := env.NewScratchFile(o.rs)
-	if err := env.writeRun(rTemp, len(newR)); err != nil {
+	if err := env.writeRun(&rTemp, len(newR)); err != nil {
 		return nil, err
 	}
 	rTemp.Flush()
@@ -193,7 +193,7 @@ func (o *oracleMerge) advance(newL, newR []tuple.Tuple) ([]tuple.Tuple, error) {
 	env.record(0, o.op, StepMerge, mergeUnits, clock.Now()-t0)
 
 	t0 = clock.Now()
-	if err := env.writeRun(o.out, len(out)); err != nil {
+	if err := env.writeRun(&o.out, len(out)); err != nil {
 		return nil, err
 	}
 	o.out.Flush()
@@ -278,7 +278,7 @@ func TestMergeJoinDeadlineAbortsEmitLoop(t *testing.T) {
 	t.Run("keyed", func(t *testing.T) {
 		env, _ := deadlineEnv(5)
 		n, sch, run := singleKeyNode(env)
-		sr, _ := sortRun(batchOf(sch, run), []int{0}, nil)
+		sr, _ := sortRun(env.mem, batchOf(sch, run), []int{0}, nil)
 		_, _, err := n.advanceSameStage(sr, sr)
 		if !IsAborted(err) {
 			t.Fatalf("advanceSameStage on a 100x100 single-key cross product: got err=%v, want deadline abort", err)
@@ -288,7 +288,7 @@ func TestMergeJoinDeadlineAbortsEmitLoop(t *testing.T) {
 	t.Run("completes", func(t *testing.T) {
 		env, _ := deadlineEnv(1 << 20)
 		n, sch, run := singleKeyNode(env)
-		sr, _ := sortRun(batchOf(sch, run), []int{0}, nil)
+		sr, _ := sortRun(env.mem, batchOf(sch, run), []int{0}, nil)
 		out, units, err := n.advanceSameStage(sr, sr)
 		if err != nil {
 			t.Fatal(err)
@@ -356,9 +356,9 @@ func TestPairCompsMatchesMergeJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		widen := tuple.JoinWiden(ls, []int{1}, rs, []int{1})
-		lr, _ := sortRun(batchOf(ls, l), []int{1}, widen)
-		rr, _ := sortRun(batchOf(rs, r), []int{1}, widen)
-		got := pairComps(groupsOf(lr.keys, lr.pres), groupsOf(rr.keys, rr.pres))
+		lr, _ := sortRun(o.env.mem, batchOf(ls, l), []int{1}, widen)
+		rr, _ := sortRun(o.env.mem, batchOf(rs, r), []int{1}, widen)
+		got := pairComps(groupsOf(o.env.rec, lr.keys, lr.pres), groupsOf(o.env.rec, rr.keys, rr.pres))
 		if got != comps {
 			t.Fatalf("trial %d (%v×%v |l|=%d |r|=%d maxKey=%d): pairComps=%d, mergeJoin comps=%d",
 				trial, lt, rt, len(l), len(r), maxKey, got, comps)

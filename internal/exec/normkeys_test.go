@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tcq/internal/scratch"
 	"tcq/internal/tuple"
 )
 
@@ -27,27 +28,27 @@ func normKeyFixture(t *testing.T, n int) ([]tuple.Tuple, *tuple.Batch, *tuple.Sc
 	return ts, b, sch
 }
 
-// TestNormKeysIntoMatchesAllocating pins that the pooled builder
-// produces byte-identical keys to the allocating one — and both the
-// keys tuple.AppendNormKey gives the materialized rows — across reuse
-// (shrinking and growing between calls).
+// TestNormKeysIntoMatchesAllocating pins that keys built into a
+// recycled arena are byte-identical to keys built into a fresh one —
+// and both to the keys tuple.AppendNormKey gives the materialized rows —
+// across reuse (shrinking and growing between resets).
 func TestNormKeysIntoMatchesAllocating(t *testing.T) {
-	var arena []byte
-	var keys [][]byte
+	mem := new(scratch.Arena)
 	for _, n := range []int{0, 1, 7, 100, 3, 250} {
 		ts, b, _ := normKeyFixture(t, n)
 		for _, cols := range [][]int{nil, {1}, {1, 0}} {
-			want := batchNormKeys(b, cols, nil)
+			want := batchNormKeys(new(scratch.Arena), b, cols, nil)
 			if len(want) != len(ts) {
-				t.Fatalf("n=%d cols=%v: allocating build has %d keys, want %d", n, cols, len(want), len(ts))
+				t.Fatalf("n=%d cols=%v: fresh build has %d keys, want %d", n, cols, len(want), len(ts))
 			}
-			arena, keys = batchNormKeysInto(arena, keys, b, cols, nil)
+			mem.Reset()
+			keys := batchNormKeys(mem, b, cols, nil)
 			if len(keys) != len(want) {
-				t.Fatalf("n=%d cols=%v: pooled build has %d keys, want %d", n, cols, len(keys), len(want))
+				t.Fatalf("n=%d cols=%v: recycled build has %d keys, want %d", n, cols, len(keys), len(want))
 			}
 			for i := range want {
 				if !bytes.Equal(keys[i], want[i]) {
-					t.Fatalf("n=%d cols=%v key %d: pooled %x, allocating %x", n, cols, i, keys[i], want[i])
+					t.Fatalf("n=%d cols=%v key %d: recycled %x, fresh %x", n, cols, i, keys[i], want[i])
 				}
 				if row := tuple.AppendNormKey(nil, ts[i], cols, nil); !bytes.Equal(want[i], row) {
 					t.Fatalf("n=%d cols=%v key %d: batch %x, row %x", n, cols, i, want[i], row)
@@ -57,18 +58,18 @@ func TestNormKeysIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestNormKeysIntoSteadyStateZeroAllocs pins the pooling claim at the
-// source: once the scratch has warmed to the stage size, rebuilding a
-// stage's normalized keys allocates nothing — neither for the arena nor
-// for the [][]byte headers.
+// TestNormKeysIntoSteadyStateZeroAllocs pins the arena's claim at the
+// source: once it has warmed to the stage size, rebuilding a stage's
+// normalized keys allocates nothing — neither for the key bytes nor for
+// the [][]byte headers.
 func TestNormKeysIntoSteadyStateZeroAllocs(t *testing.T) {
 	_, b, _ := normKeyFixture(t, 200)
-	var arena []byte
-	var keys [][]byte
-	arena, keys = batchNormKeysInto(arena, keys, b, nil, nil) // warm
+	mem := new(scratch.Arena)
+	batchNormKeys(mem, b, nil, nil) // warm
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		arena, keys = batchNormKeysInto(arena, keys, b, nil, nil)
+		mem.Reset()
+		batchNormKeys(mem, b, nil, nil)
 	}); allocs != 0 {
 		t.Errorf("warm key build allocates: %v allocs/op", allocs)
 	}

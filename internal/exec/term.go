@@ -209,20 +209,17 @@ type Query struct {
 	// after every stage (see lane.go).
 	workers  int
 	termEnvs []*Env
+
+	feedNames []string                 // sorted
+	errs      []error                  // per-term stage outcome, reused every stage
+	parts     []estimator.TermEstimate // Estimate's operands, reused every call
 }
 
 // FeedNames returns the feed relation names in sorted order. Callers
 // that draw from a shared RNG or charge the session clock per feed must
 // iterate feeds in this order, not Go's randomized map order, or
-// identical seeds produce different runs.
-func (q *Query) FeedNames() []string {
-	names := make([]string, 0, len(q.Feeds))
-	for name := range q.Feeds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// identical seeds produce different runs. Callers must not modify it.
+func (q *Query) FeedNames() []string { return q.feedNames }
 
 // NewQuery decomposes COUNT(e) into signed terms and builds an executor
 // per term, with one shared Feed per distinct base relation. Stages are
@@ -260,14 +257,16 @@ func NewTieredParallelQuery(e ra.Expr, env *Env, cat ra.Catalog, plan Plan, term
 	if err != nil {
 		return nil, err
 	}
-	feeds := map[string]*Feed{}
-	for _, name := range ra.BaseRelations(e) {
+	feedNames := ra.BaseRelations(e)
+	feeds := make(map[string]*Feed, len(feedNames))
+	for _, name := range feedNames { // expression order: it numbers the feeds' nodes
 		rel, err := env.Store.Relation(name)
 		if err != nil {
 			return nil, err
 		}
 		feeds[name] = NewFeed(env, rel)
 	}
+	sort.Strings(feedNames)
 	if termWorkers < 1 {
 		termWorkers = 1
 	}
@@ -279,7 +278,8 @@ func NewTieredParallelQuery(e ra.Expr, env *Env, cat ra.Catalog, plan Plan, term
 		termWorkers = 1
 	}
 	env.SetSubWorkers(subWorkers)
-	q := &Query{Feeds: feeds, Env: env, Plan: plan, workers: termWorkers}
+	q := &Query{Feeds: feeds, Env: env, Plan: plan, workers: termWorkers, feedNames: feedNames,
+		errs: make([]error, len(terms)), parts: make([]estimator.TermEstimate, len(terms))}
 	for _, t := range terms {
 		tenv := env
 		if termWorkers > 1 {
@@ -311,7 +311,8 @@ func (q *Query) AdvanceStage(stage int) error {
 		}
 		return nil
 	}
-	errs := make([]error, len(q.Terms))
+	errs := q.errs
+	clear(errs)
 	if q.stageBelowFloor(stage) {
 		// Lanes make the two schedules indistinguishable to the
 		// simulation; a serial run stops at the first failing term.
@@ -385,14 +386,10 @@ func (q *Query) SumEstimate() estimator.Estimate {
 // Estimate combines the signed term estimates (Principle of Inclusion
 // and Exclusion).
 func (q *Query) Estimate() estimator.Estimate {
-	parts := make([]estimator.TermEstimate, 0, len(q.Terms))
-	for _, te := range q.Terms {
-		parts = append(parts, estimator.TermEstimate{
-			Sign:     te.Term.Sign,
-			Estimate: te.Estimate(),
-		})
+	for i, te := range q.Terms {
+		q.parts[i] = estimator.TermEstimate{Sign: te.Term.Sign, Estimate: te.Estimate()}
 	}
-	return estimator.Combine(parts)
+	return estimator.Combine(q.parts)
 }
 
 // SampledBlocks returns the total number of distinct disk blocks

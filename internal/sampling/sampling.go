@@ -14,6 +14,8 @@ package sampling
 import (
 	"fmt"
 	"math/rand"
+
+	"tcq/internal/scratch"
 )
 
 // BlockSampler draws disk-block indices without replacement from a
@@ -23,8 +25,9 @@ import (
 type BlockSampler struct {
 	d     int
 	rng   *rand.Rand
-	next  int   // number of indices already drawn
-	fixed []int // prebuilt permutation (catalog warm path); nil when live
+	mem   *slabs // where the table, the drawn lists and the stage records live
+	next  int    // number of indices already drawn
+	fixed []int  // prebuilt permutation (catalog warm path); nil when live
 
 	// Sparse Fisher–Yates state: the positions whose value differs from
 	// their index, in a pointer-free open-addressed table (linear
@@ -40,18 +43,30 @@ type BlockSampler struct {
 // marks an empty slot), val the index currently stored there.
 type slot struct{ key, val int }
 
+// slabs is a sampler's memory: a query arena's (UseScratch) or, for a
+// sampler outside a query, its own three slabs and nothing more.
+type slabs struct {
+	slots  scratch.Slab[slot]
+	stages scratch.Slab[StageDraw]
+	drawn  scratch.Slab[int]
+}
+
+func (m *slabs) Reset() {
+	m.slots.Reset(slot{key: -0x5A5A5A5B, val: -0x5A5A5A5B})
+	m.stages.Reset(StageDraw{Tuples: -0x5A5A5A5B})
+	m.drawn.Reset(-0x5A5A5A5B)
+}
+
+func (b *BlockSampler) slabs() *slabs {
+	if b.mem == nil {
+		b.mem = new(slabs)
+	}
+	return b.mem
+}
+
 // NewBlockSampler creates a sampler over block indices [0, d).
 func NewBlockSampler(d int, rng *rand.Rand) *BlockSampler {
 	return &BlockSampler{d: d, rng: rng}
-}
-
-// NewBlockSamplerFromPerm creates a sampler that replays a prebuilt
-// permutation of block indices instead of drawing live: Draw(k) returns
-// successive slices of perm, consuming no RNG. This is the sample-
-// catalog warm path — the permutation was drawn (seeded) at build time,
-// so a warm query's "random" sample is the materialized one.
-func NewBlockSamplerFromPerm(perm []int) *BlockSampler {
-	return &BlockSampler{d: len(perm), fixed: perm}
 }
 
 // Remaining returns how many blocks have not been drawn yet.
@@ -64,19 +79,17 @@ func (b *BlockSampler) Drawn() int { return b.next }
 // without replacement. It returns fewer than k (possibly zero) when the
 // relation is exhausted.
 func (b *BlockSampler) Draw(k int) []int {
-	if k > b.Remaining() {
-		k = b.Remaining()
-	}
+	k = min(k, b.Remaining())
 	if k <= 0 {
 		return nil
 	}
+	out := b.slabs().drawn.Alloc(k)[:0]
 	if b.fixed != nil {
-		out := append([]int(nil), b.fixed[b.next:b.next+k]...)
+		out = append(out, b.fixed[b.next:b.next+k]...)
 		b.next += k
 		return out
 	}
 	b.reserve(k)
-	out := make([]int, 0, k)
 	for i := 0; i < k; i++ {
 		// Swap positions next and j, emit what lands on next. The value
 		// is not written back to next: the cursor moves past it.
@@ -122,7 +135,8 @@ func (b *BlockSampler) reserve(k int) {
 		size *= 2
 	}
 	old := b.slots
-	b.slots, b.used = make([]slot, size), 0
+	b.slots, b.used = b.slabs().slots.Alloc(size), 0
+	clear(b.slots)
 	for _, s := range old {
 		if s.key > b.next {
 			*b.find(s.key - 1) = s
@@ -144,7 +158,7 @@ type RelationSample struct {
 	DTotal  int   // total disk blocks in the relation
 	NTotal  int64 // total tuples in the relation
 	Stages  []StageDraw
-	sampler *BlockSampler
+	sampler BlockSampler
 }
 
 // NewRelationSample builds the bookkeeping for one relation.
@@ -153,26 +167,33 @@ func NewRelationSample(name string, dTotal int, nTotal int64, rng *rand.Rand) *R
 		Name:    name,
 		DTotal:  dTotal,
 		NTotal:  nTotal,
-		sampler: NewBlockSampler(dTotal, rng),
+		sampler: BlockSampler{d: dTotal, rng: rng},
 	}
 }
 
 // NewRelationSampleFromPerm builds the bookkeeping for one relation
-// whose draw order replays a prebuilt permutation (catalog warm path).
+// whose draw order replays a prebuilt permutation of block indices,
+// consuming no RNG: the sample-catalog warm path — the permutation was
+// drawn (seeded) at build time.
 func NewRelationSampleFromPerm(name string, perm []int, nTotal int64) *RelationSample {
 	return &RelationSample{
 		Name:    name,
 		DTotal:  len(perm),
 		NTotal:  nTotal,
-		sampler: NewBlockSamplerFromPerm(perm),
+		sampler: BlockSampler{d: len(perm), fixed: perm},
 	}
 }
+
+// UseScratch makes the sample take its memory — stage records, drawn
+// lists, the sampler's table — from a query's arena instead of its own
+// slabs, for that query's lifetime; call it before the first Draw.
+func (r *RelationSample) UseScratch(a *scratch.Arena) { r.sampler.mem = scratch.Of[slabs](a) }
 
 // Draw samples k more blocks for a new stage and records them. The
 // returned slice is the NEW-SAMPLE-SET of Figure 3.1 for this relation.
 func (r *RelationSample) Draw(k int) []int {
 	blocks := r.sampler.Draw(k)
-	r.Stages = append(r.Stages, StageDraw{Blocks: blocks})
+	r.Stages = append(r.sampler.slabs().stages.Grow(r.Stages, 1), StageDraw{Blocks: blocks})
 	return blocks
 }
 
@@ -303,12 +324,5 @@ func NewStagePoints(prev, cur []int64) float64 {
 // SampleInts draws m distinct integers uniformly from [0, n) using a
 // sparse Fisher–Yates shuffle; order is the draw order.
 func SampleInts(rng *rand.Rand, n, m int) []int {
-	if m > n {
-		m = n
-	}
-	if m <= 0 {
-		return nil
-	}
-	s := NewBlockSampler(n, rng)
-	return s.Draw(m)
+	return NewBlockSampler(n, rng).Draw(m)
 }

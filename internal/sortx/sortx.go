@@ -23,6 +23,8 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"slices"
+
+	"tcq/internal/scratch"
 )
 
 // DefaultRunSize is the default number of tuples per initial run,
@@ -53,6 +55,7 @@ func prefix(k []byte) uint64 {
 // IdxResult reports the outcome of an argsort by cached keys: the
 // sorting permutation (Perm[i] is the input index of sorted rank i)
 // plus the keys and their 8-byte prefixes gathered into sorted order.
+// The three slices are scratch of the arena the sort was given.
 type IdxResult struct {
 	Perm        []int32
 	Keys        [][]byte
@@ -61,11 +64,19 @@ type IdxResult struct {
 	Runs        int
 }
 
+// slabs is the sort's own memory on an arena: elements and run heads.
+type slabs struct {
+	elems scratch.Slab[keyed]
+	heap  mergeHeap
+}
+
+func (m *slabs) Reset() { m.elems.Reset(keyed{pre: 1<<64 - 1, row: -1}) }
+
 // SortKeyedIdx externally argsorts the normalized keys (runs of at most
 // runSize keys, DefaultRunSize when runSize <= 0) and returns the
 // sorting permutation; callers gather their columnar data through it.
-// The input slice is not modified.
-func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
+// The input slice is not modified; all memory comes from a.
+func SortKeyedIdx(a *scratch.Arena, keys [][]byte, runSize int) IdxResult {
 	if runSize <= 0 {
 		runSize = DefaultRunSize
 	}
@@ -73,7 +84,8 @@ func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	if n == 0 {
 		return IdxResult{}
 	}
-	elems := make([]keyed, n)
+	m := scratch.Of[slabs](a)
+	elems := m.elems.Alloc(n)
 	for i, k := range keys {
 		elems[i] = keyed{pre: prefix(k), row: int32(i)}
 	}
@@ -90,15 +102,14 @@ func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	}
 	// Phase 2: k-way heap merge.
 	if runs > 1 {
-		var mergeComps int64
-		elems, mergeComps = mergeRuns(elems, keys, runSize)
-		comps += mergeComps
+		elems = m.mergeRuns(elems, keys, runSize)
+		comps += m.heap.comps
 	}
 
 	res := IdxResult{
-		Perm:        make([]int32, n),
-		Keys:        make([][]byte, n),
-		Pres:        make([]uint64, n),
+		Perm:        a.I32.Alloc(n),
+		Keys:        a.Keys.Alloc(n),
+		Pres:        a.U64.Alloc(n),
 		Comparisons: comps,
 		Runs:        runs,
 	}
@@ -121,11 +132,12 @@ func compare(keys [][]byte, a, b keyed) int {
 }
 
 // mergeRuns merges the sorted runs elems[0:runSize], elems[runSize:…], …
-// into one sorted slice and returns it with the comparisons it made.
-func mergeRuns(elems []keyed, keys [][]byte, runSize int) ([]keyed, int64) {
+// into one sorted slice; its comparisons are left in m.heap.comps.
+func (m *slabs) mergeRuns(elems []keyed, keys [][]byte, runSize int) []keyed {
 	n := len(elems)
-	out := make([]keyed, 0, n)
-	h := &mergeHeap{keys: keys}
+	out := m.elems.Alloc(n)[:0]
+	h := &m.heap
+	h.items, h.keys, h.comps = h.items[:0], keys, 0
 	for lo := 0; lo < n; lo += runSize {
 		h.items = append(h.items, mergeItem{next: lo + 1, end: min(lo+runSize, n), item: elems[lo]})
 	}
@@ -136,12 +148,17 @@ func mergeRuns(elems []keyed, keys [][]byte, runSize int) ([]keyed, int64) {
 		if it.next < it.end {
 			it.item = elems[it.next]
 			it.next++
-			heap.Fix(h, 0)
 		} else {
-			heap.Pop(h)
+			// heap.Pop without boxing the popped head: swap it last, drop
+			// it, and sift the new head down — the same comparisons.
+			last := h.Len() - 1
+			h.Swap(0, last)
+			h.items = h.items[:last]
 		}
+		heap.Fix(h, 0)
 	}
-	return out, h.comps
+	h.keys = nil
+	return out
 }
 
 // mergeItem is the head of one run: its current element and the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tcq/internal/scratch"
 	"tcq/internal/tuple"
 )
 
@@ -48,7 +49,7 @@ func sortTuples(t *testing.T, ts []tuple.Tuple, runSize int) result {
 	for i, tp := range ts {
 		keys[i] = tuple.AppendNormKey(nil, tp, nil, nil)
 	}
-	r := SortKeyedIdx(keys, runSize)
+	r := SortKeyedIdx(new(scratch.Arena), keys, runSize)
 	out := result{Comparisons: r.Comparisons, Runs: r.Runs}
 	for i, j := range r.Perm {
 		if !bytes.Equal(r.Keys[i], keys[j]) {
@@ -280,10 +281,12 @@ func TestSortKeyedIdxMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		shapes = append(shapes, shape{rng.Intn(700), 1 + rng.Intn(64)})
 	}
+	mem := new(scratch.Arena) // one arena, recycled: every sort but the first runs on used memory
 	for _, sh := range shapes {
 		keys := randKeys(rng, sh.n)
 		in := slices.Clone(keys)
-		got := SortKeyedIdx(keys, sh.runSize)
+		mem.Reset()
+		got := SortKeyedIdx(mem, keys, sh.runSize)
 		runSize := sh.runSize
 		if runSize <= 0 {
 			runSize = DefaultRunSize

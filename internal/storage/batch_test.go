@@ -158,34 +158,79 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	}
 }
 
+// scalarFile is the one-tuple-at-a-time reference for TempFile: the
+// write loop the paper describes, kept on the test side since the
+// executors only ever write runs. It shares nothing with WriteN.
+type scalarFile struct {
+	st      *Store
+	size    int
+	bf      int
+	pending int
+	pages   int64
+}
+
+func newScalarFile(st *Store, schema *tuple.Schema) *scalarFile {
+	return &scalarFile{st: st, size: schema.TupleSize(), bf: max(st.BlockSize()/schema.TupleSize(), 1)}
+}
+
+func (f *scalarFile) write() {
+	f.st.Clock().Charge(f.st.Costs().TupleWrite)
+	f.st.counters.TuplesWritten++
+	f.st.counters.TempBytes += int64(f.size)
+	if f.pending++; f.pending >= f.bf {
+		f.flush()
+	}
+}
+
+func (f *scalarFile) flush() {
+	if f.pending == 0 {
+		return
+	}
+	f.st.Clock().Charge(f.st.Costs().PageWrite)
+	f.st.counters.PagesWritten++
+	f.pages++
+	f.pending = 0
+}
+
 // TestWriteNMatchesWriteLoop pins WriteN's charge stream against the
-// scalar Write loop: same seed, same durations in the same order, same
-// counters, across page boundaries and partial pages.
+// scalar reference, for one WriteN(n) and for the WriteN(1) loop of the
+// armed-deadline path: same seed, same durations in the same order, same
+// counters and page count, across page boundaries and partial pages.
 func TestWriteNMatchesWriteLoop(t *testing.T) {
 	s := batchTestSchema()
 	for _, n := range []int{1, 7, 8, 9, 40, 100} {
-		loopClk := vclock.NewSim(5, 0.04)
-		batchClk := vclock.NewSim(5, 0.04)
-		loopSt := NewStore(loopClk, SunProfile(), DefaultBlockSize)
-		batchSt := NewStore(batchClk, SunProfile(), DefaultBlockSize)
-		lf := loopSt.NewScratchFile(s)
-		bf := batchSt.NewScratchFile(s)
-		lf.Write(tuple.Tuple{int64(0), ""}) // offset the page phase
-		bf.Write(tuple.Tuple{int64(0), ""})
+		var clks [3]*vclock.Sim
+		var sts [3]*Store
+		for i := range sts {
+			clks[i] = vclock.NewSim(5, 0.04)
+			sts[i] = NewStore(clks[i], SunProfile(), DefaultBlockSize)
+		}
+		ref := newScalarFile(sts[0], s)
+		ref.write() // offset the page phase
 		for i := 0; i < n; i++ {
-			lf.Write(tuple.Tuple{int64(i), ""})
+			ref.write()
 		}
+		ref.flush()
+		bf := sts[1].NewScratchFile(s)
+		bf.WriteN(1)
 		bf.WriteN(n)
-		lf.Flush()
 		bf.Flush()
-		if loopClk.Now() != batchClk.Now() {
-			t.Errorf("n=%d: loop clock %v != batch clock %v", n, loopClk.Now(), batchClk.Now())
+		lf := sts[2].NewScratchFile(s)
+		for i := 0; i < n+1; i++ {
+			lf.WriteN(1)
 		}
-		if lc, bc := loopSt.Counters(), batchSt.Counters(); lc != bc {
-			t.Errorf("n=%d: counters diverge: %+v vs %+v", n, lc, bc)
+		lf.Flush()
+		want := sts[0].Counters()
+		if want.TuplesWritten != int64(n+1) || want.PagesWritten != ref.pages || ref.pages != int64((n+1+7)/8) {
+			t.Fatalf("n=%d: reference wrote %+v in %d pages", n, want, ref.pages)
 		}
-		if lf.Len() != bf.Len() || lf.Pages() != bf.Pages() {
-			t.Errorf("n=%d: len/pages diverge: %d/%d vs %d/%d", n, lf.Len(), lf.Pages(), bf.Len(), bf.Pages())
+		for i, name := range []string{"WriteN(n)", "WriteN(1) loop"} {
+			if got := clks[i+1].Now(); got != clks[0].Now() {
+				t.Errorf("n=%d: %s clock %v != scalar clock %v", n, name, got, clks[0].Now())
+			}
+			if got := sts[i+1].Counters(); got != want {
+				t.Errorf("n=%d: %s counters diverge: %+v vs %+v", n, name, got, want)
+			}
 		}
 	}
 }

@@ -208,10 +208,7 @@ type filePager struct {
 
 func (p *filePager) readBlock(i int) (*tuple.Batch, error) {
 	start := int64(i) * int64(p.bf)
-	count := int64(p.bf)
-	if start+count > p.ntuples {
-		count = p.ntuples - start
-	}
+	count := min(int64(p.bf), p.ntuples-start)
 	if count <= 0 {
 		return nil, fmt.Errorf("storage: block %d beyond end", i)
 	}
@@ -220,7 +217,7 @@ func (p *filePager) readBlock(i int) (*tuple.Batch, error) {
 	if _, err := p.f.ReadAt(buf, p.offset+start*ts); err != nil {
 		return nil, err
 	}
-	out := tuple.NewBatchCap(p.schema, int(count))
+	out := tuple.NewBatchHeap(p.schema, int(count))
 	rest := buf
 	for j := int64(0); j < count; j++ {
 		t, remaining, err := tuple.Decode(p.schema, rest)

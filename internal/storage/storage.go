@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"tcq/internal/scratch"
 	"tcq/internal/tuple"
 	"tcq/internal/vclock"
 )
@@ -129,6 +130,9 @@ type Store struct {
 
 	cmu      sync.Mutex // guards counters against concurrent merges/reads
 	counters Counters
+
+	arena  *scratch.Arena // a session's scratch, nil until Scratch is called
+	arenas sync.Pool      // root only: arenas released by ended sessions
 }
 
 // NewStore creates a store charging work to clock using the given cost
@@ -142,6 +146,7 @@ func NewStore(clock vclock.Clock, costs CostProfile, blockSize int) *Store {
 		costs:     costs,
 		blockSize: blockSize,
 		cat:       &catalog{relations: make(map[string]*Relation)},
+		arenas:    sync.Pool{New: func() any { return scratch.New() }},
 	}
 	s.root = s
 	return s
@@ -152,8 +157,8 @@ func NewStore(clock vclock.Clock, costs CostProfile, blockSize int) *Store {
 // physical-work counters, so concurrent queries never observe each
 // other's charges. A nil clock shares the receiver's clock (the right
 // choice for a real clock, whose Charge is a no-op). Call MergeCounters
-// when the session's query is done to fold its counters into the root
-// totals.
+// when the session's query is done: it folds the session's counters
+// into the root totals and releases the session's scratch memory.
 func (s *Store) Session(clock vclock.Clock) *Store {
 	if clock == nil {
 		clock = s.clock
@@ -167,11 +172,33 @@ func (s *Store) Session(clock vclock.Clock) *Store {
 	}
 }
 
-// MergeCounters folds a session's counters into the root store's totals
-// (and zeroes the session's). It is a no-op on a root store.
+// Scratch returns the memory of the query this store view serves: a
+// session's one arena, taken from the root's pool on first use and valid
+// until MergeCounters; on a root store, which has no end of session, an
+// arena per call that is simply garbage afterwards.
+func (s *Store) Scratch() *scratch.Arena {
+	if s.arena == nil {
+		a := s.root.arenas.Get().(*scratch.Arena)
+		if s.root == s {
+			return a
+		}
+		s.arena = a
+	}
+	return s.arena
+}
+
+// MergeCounters ends a session: it folds the session's counters into
+// the root store's totals (and zeroes the session's) and returns its
+// scratch arena to the root's pool — nothing the session's query
+// produced may point into scratch afterwards. No-op on a root store.
 func (s *Store) MergeCounters() {
 	if s.root == s {
 		return
+	}
+	if s.arena != nil {
+		s.arena.Reset()
+		s.root.arenas.Put(s.arena)
+		s.arena = nil
 	}
 	s.cmu.Lock()
 	delta := s.counters
@@ -472,101 +499,57 @@ func (r *Relation) AllTuples() []tuple.Tuple {
 	return out
 }
 
-// TempFile is a cost-charged output/temporary file of tuples, modelling
-// the paper's on-disk intermediate relations. Writing charges one
-// tuple-write per tuple and one page-write per flushed page. A temp file
-// is confined to one goroutine; its charges go to the sink it was
-// created with (the session store by default, a per-term lane under
-// parallel evaluation).
+// TempFile is a cost-charged output/temporary file, modelling the
+// paper's on-disk intermediate relations: writing charges one
+// tuple-write per tuple and one page-write per flushed page. It is
+// charge-only — the executors already hold every intermediate result in
+// memory — and what was written is read off the sink's Counters. A temp
+// file is a value confined to one goroutine; its charges go to the sink
+// it was created with (the session store by default, a per-term lane
+// under parallel evaluation). Flushed, it is empty again: an operator
+// rewrites the same file every stage.
 type TempFile struct {
 	costs          CostProfile
 	clock          vclock.Clock
 	counters       *Counters
 	schema         *tuple.Schema
 	blockingFactor int
-	scratch        bool // charge-only: tuples are not retained
-	tuples         []tuple.Tuple
-	count          int
 	pending        int // tuples buffered since the last page flush
-	pages          int64
 }
 
-// NewTempFile creates a temp file for tuples of the given schema.
-func (s *Store) NewTempFile(schema *tuple.Schema) *TempFile {
-	bf := s.blockSize / schema.TupleSize()
-	if bf < 1 {
-		bf = 1
-	}
-	return &TempFile{
-		costs:          s.costs,
-		clock:          s.clock,
-		counters:       &s.counters,
-		schema:         schema,
-		blockingFactor: bf,
-	}
-}
-
-// NewScratchFile creates a charge-only temp file: Write and Flush charge
-// exactly like a regular temp file (one tuple-write per tuple, one
-// page-write per filled page) but the tuples themselves are discarded.
-// The executors use this for intermediate files whose contents they
-// already hold in memory, so the simulated I/O cost is preserved without
-// duplicating every intermediate result on the host heap.
-func (s *Store) NewScratchFile(schema *tuple.Schema) *TempFile {
-	f := s.NewTempFile(schema)
-	f.scratch = true
-	return f
+// NewScratchFile creates a temp file for tuples of the given schema,
+// charging the store's own clock and counters.
+func (s *Store) NewScratchFile(schema *tuple.Schema) TempFile {
+	return s.NewScratchFileOn(schema, s.clock, &s.counters)
 }
 
 // NewScratchFileOn is NewScratchFile with the charges routed to an
 // explicit clock and counter set instead of the store's own — the
 // executor lanes use it to confine per-term work during parallel
 // evaluation.
-func (s *Store) NewScratchFileOn(schema *tuple.Schema, clock vclock.Clock, counters *Counters) *TempFile {
-	f := s.NewScratchFile(schema)
-	f.clock = clock
-	f.counters = counters
-	return f
-}
-
-// Write appends a tuple, charging tuple-write cost and a page-write each
-// time a page fills.
-func (f *TempFile) Write(t tuple.Tuple) {
-	f.clock.Charge(f.costs.TupleWrite)
-	f.counters.TuplesWritten++
-	f.counters.TempBytes += int64(f.schema.TupleSize())
-	if !f.scratch {
-		f.tuples = append(f.tuples, t)
-	}
-	f.count++
-	f.pending++
-	if f.pending >= f.blockingFactor {
-		f.flushPage()
+func (s *Store) NewScratchFileOn(schema *tuple.Schema, clock vclock.Clock, counters *Counters) TempFile {
+	return TempFile{
+		costs:          s.costs,
+		clock:          clock,
+		counters:       counters,
+		schema:         schema,
+		blockingFactor: max(s.blockSize/schema.TupleSize(), 1),
 	}
 }
 
-// WriteN appends n tuples to a scratch file in one call: the charge
-// sequence — tuple-writes with a page-write at every page boundary —
-// and the counter increments are exactly those of n Write calls, but
-// runs of tuple-writes collapse into batched clock charges (one lock
-// acquisition and, on lane clocks, one run record). Scratch files only:
-// a retaining temp file has actual tuples to store, so batching does
-// not apply.
+// WriteN appends n tuples, charging one tuple-write per tuple and a
+// page-write each time a page fills. The charge sequence and the counter
+// increments are exactly those of n single writes, but runs of
+// tuple-writes collapse into batched clock charges (one lock
+// acquisition and, on lane clocks, one run record).
 func (f *TempFile) WriteN(n int) {
 	if n <= 0 {
 		return
 	}
-	if !f.scratch {
-		panic("storage: WriteN on a retaining temp file")
-	}
 	f.counters.TuplesWritten += int64(n)
 	f.counters.TempBytes += int64(n) * int64(f.schema.TupleSize())
-	f.count += n
 	for n > 0 {
-		k := f.blockingFactor - f.pending
-		if k > n {
-			k = n
-		}
+		k := min(f.blockingFactor-f.pending, n)
 		vclock.ChargeRun(f.clock, f.costs.TupleWrite, k)
 		f.pending += k
 		n -= k
@@ -586,20 +569,5 @@ func (f *TempFile) Flush() {
 func (f *TempFile) flushPage() {
 	f.clock.Charge(f.costs.PageWrite)
 	f.counters.PagesWritten++
-	f.pages++
 	f.pending = 0
 }
-
-// Tuples returns the file contents (no read charge: the executors hold
-// intermediate results in temp files and account for reads explicitly).
-// Scratch files retain nothing and return nil.
-func (f *TempFile) Tuples() []tuple.Tuple { return f.tuples }
-
-// Len returns the number of tuples written.
-func (f *TempFile) Len() int { return f.count }
-
-// Pages returns the number of pages flushed so far.
-func (f *TempFile) Pages() int64 { return f.pages }
-
-// Schema returns the temp file's tuple schema.
-func (f *TempFile) Schema() *tuple.Schema { return f.schema }

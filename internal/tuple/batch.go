@@ -3,6 +3,8 @@ package tuple
 import (
 	"fmt"
 	"strings"
+
+	"tcq/internal/scratch"
 )
 
 // Batch is a column-oriented block of tuples: one typed slice per
@@ -37,31 +39,53 @@ func NewBatch(s *Schema) *Batch {
 	return &Batch{schema: s, cols: make([]colData, len(s.cols))}
 }
 
-// NewBatchCap returns an empty batch with room for n rows. Columns of
-// one type are carved (capacity-clamped) out of a single allocation, so
-// the cost is independent of the column count.
-func NewBatchCap(s *Schema, n int) *Batch {
+// NewBatchHeap returns an empty batch with room for exactly n rows on
+// the heap: for a batch that outlives any query (a block decoded from a
+// file), where NewBatchCap's scratch would not do.
+func NewBatchHeap(s *Schema, n int) *Batch {
 	b := NewBatch(s)
-	var ni, nf, ns int
-	for _, c := range s.cols {
-		switch c.Type {
-		case Int:
-			ni++
-		case Float:
-			nf++
-		case String:
-			ns++
-		}
-	}
-	ints, floats, strs := make([]int64, ni*n), make([]float64, nf*n), make([]string, ns*n)
 	for i, c := range s.cols {
 		switch c.Type {
 		case Int:
-			b.cols[i].ints, ints = ints[:0:n], ints[n:]
+			b.cols[i].ints = make([]int64, 0, n)
 		case Float:
-			b.cols[i].floats, floats = floats[:0:n], floats[n:]
+			b.cols[i].floats = make([]float64, 0, n)
 		case String:
-			b.cols[i].strings, strs = strs[:0:n], strs[n:]
+			b.cols[i].strings = make([]string, 0, n)
+		}
+	}
+	return b
+}
+
+// slabs are the batch headers a query's arena hands out.
+type slabs struct {
+	batches scratch.Slab[Batch]
+	cols    scratch.Slab[colData]
+}
+
+func (m *slabs) Reset() { m.batches.Reset(Batch{}); m.cols.Reset(colData{}) }
+
+// newScratch returns a batch header with ncols empty columns on a.
+func newScratch(a *scratch.Arena, s *Schema, n, ncols int) *Batch {
+	m := scratch.Of[slabs](a)
+	b := &m.batches.Alloc(1)[0]
+	*b = Batch{schema: s, n: n, cols: m.cols.Alloc(ncols)}
+	clear(b.cols)
+	return b
+}
+
+// NewBatchCap returns an empty batch with room for exactly n rows,
+// header and columns scratch of the query that owns a.
+func NewBatchCap(a *scratch.Arena, s *Schema, n int) *Batch {
+	b := newScratch(a, s, 0, len(s.cols))
+	for i, c := range s.cols {
+		switch c.Type {
+		case Int:
+			b.cols[i].ints = a.Ints.Alloc(n)[:0]
+		case Float:
+			b.cols[i].floats = a.Floats.Alloc(n)[:0]
+		case String:
+			b.cols[i].strings = a.Strings.Alloc(n)[:0]
 		}
 	}
 	return b
@@ -185,8 +209,9 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 
 // Project returns a zero-copy view holding only the columns at idx, in
 // that order; s must be the projected schema (as from Schema.Project).
-func (b *Batch) Project(s *Schema, idx []int) *Batch {
-	out := &Batch{schema: s, n: b.n, cols: make([]colData, len(idx))}
+// The view's header is scratch of a.
+func (b *Batch) Project(a *scratch.Arena, s *Schema, idx []int) *Batch {
+	out := newScratch(a, s, b.n, len(idx))
 	for i, j := range idx {
 		out.cols[i] = b.cols[j]
 	}
@@ -240,9 +265,9 @@ func (b *Batch) Rows() []Tuple {
 	return out
 }
 
-// Gather returns a new batch holding rows sel of b, in that order.
-func (b *Batch) Gather(sel []int32) *Batch {
-	out := NewBatchCap(b.schema, len(sel))
+// Gather returns a new batch on a holding rows sel of b, in that order.
+func (b *Batch) Gather(a *scratch.Arena, sel []int32) *Batch {
+	out := NewBatchCap(a, b.schema, len(sel))
 	out.AppendJoined(b, sel, nil, nil)
 	return out
 }

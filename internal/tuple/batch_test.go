@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"tcq/internal/scratch"
 )
 
 func batchSchema(t *testing.T) *Schema {
@@ -160,18 +162,19 @@ func TestBatchProjectAndRowsAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv := b.Project(ps, idx)
+	mem := new(scratch.Arena)
+	pv := b.Project(mem, ps, idx)
 	if pv.Len() != 4 {
 		t.Fatalf("projected Len = %d", pv.Len())
 	}
 	if got := pv.Row(2); Compare(got, Tuple{"r", int64(2)}, nil, nil) != 0 {
 		t.Errorf("projected row = %v", got)
 	}
-	sel := b.Gather([]int32{3, 0}).Rows()
+	sel := b.Gather(mem, []int32{3, 0}).Rows()
 	if len(sel) != 2 || sel[0][0].(int64) != 3 || sel[1][0].(int64) != 0 || sel[0][1].(float64) != 1.5 {
 		t.Errorf("Gather rows = %v", sel)
 	}
-	if g := b.Gather(nil); g.Len() != 0 || g.Rows() != nil {
+	if g := b.Gather(mem, nil); g.Len() != 0 || g.Rows() != nil {
 		t.Error("Gather(empty) should be an empty batch")
 	}
 	// AppendJoined: l∘r rows by index pairs, then left-only rows.
@@ -179,12 +182,12 @@ func TestBatchProjectAndRowsAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewBatchCap(js, 2)
+	j := NewBatchCap(mem, js, 2)
 	j.AppendJoined(b, []int32{1, 2}, pv, []int32{3, 0})
 	if got := j.Row(1); j.Len() != 2 || Compare(got, Tuple{int64(2), 1.0, "r", "r", int64(0)}, nil, nil) != 0 {
 		t.Errorf("joined row = %v (len %d)", got, j.Len())
 	}
-	l := NewBatchCap(s, 1)
+	l := NewBatchCap(mem, s, 1)
 	l.AppendJoined(b, []int32{2}, nil, nil)
 	l.AppendJoined(b, []int32{0, 3}, nil, nil) // past the reserved capacity
 	if got := l.Rows(); len(got) != 3 || got[0][0].(int64) != 2 || got[2][0].(int64) != 3 {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide CI gate: formatting, vet, build, race tests, the
-# simulated-determinism goldens, the tcqd loopback goldens, and the
-# benchmark module's own tests and smoke run. Run from anywhere; takes
+# Repo-wide CI gate: formatting, vet, build, race tests, the allocation
+# guards, the simulated-determinism goldens, the tcqd loopback goldens,
+# and the benchmark module's own tests and smoke run. Run from anywhere; takes
 # no arguments. Host performance is measured by `bash benchmark/run.sh`
 # (see benchmark/README.md), not here.
 set -euo pipefail
@@ -28,16 +28,23 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# The allocation guards are built with //go:build !race (the race
+# detector's instrumentation allocates), so the pass above never runs
+# them: run them here, without it.
+echo "== go test (allocation guards, no race detector)"
+go test -count=1 -run 'Allocs|SteadyState' ./...
+
 # The concurrency-heavy surfaces (concurrent engine use, the sched
 # Controller, the metrics registry, the live telemetry registry and its
-# HTTP server, and the exec engine's lane record/replay and sub-term
-# fan-out paths) get a second, cache-bypassing race pass so a cached
+# HTTP server, the exec engine's lane record/replay and sub-term fan-out
+# paths, and the per-DB pool of query arenas) get a second,
+# cache-bypassing race pass so a cached
 # "ok" from the run above can never mask an interleaving-dependent
 # failure in exactly the code where interleavings matter.
 echo "== go test -race -count=1 (concurrency surfaces)"
 go test -race -count=1 \
-  -run 'Concurrent|Parallel|Controller|Registry|Telemetry|Metrics|Serve|Lane|SubTerm|HardDeadline|Calib|Flight|Coverage|Ring|Wilson|Catalog|Stream|Drain|Reject|Tenant|SSE|Span|SLO|Retry|AdmitWait|Admission|NonStreaming' \
-  . ./internal/sched ./internal/trace ./internal/telemetry ./internal/calib \
+  -run 'Concurrent|Parallel|Controller|Registry|Telemetry|Metrics|Serve|Lane|SubTerm|HardDeadline|Calib|Flight|Coverage|Ring|Wilson|Catalog|Stream|Drain|Reject|Tenant|SSE|Span|SLO|Retry|AdmitWait|Admission|NonStreaming|Scratch|Pool|Arena' \
+  . ./internal/scratch ./internal/sched ./internal/trace ./internal/telemetry ./internal/calib \
   ./internal/stats ./internal/exec ./internal/core ./internal/bench \
   ./internal/catalog ./internal/server ./internal/client
 
@@ -158,12 +165,20 @@ if ! diff testdata/golden_spans_smoke.txt <(echo "$spans"); then
 fi
 
 # The benchmark is a module of its own (benchmark/go.mod), so the
-# `go test ./...` above does not reach it: vet and test it here, then
-# run every workload untraced and traced in smoke size — its walk of
-# Engine.Count's stage loop must still compile against internal/exec and
-# still equal Count bit for bit.
-echo "== benchmark module (vet, test, smoke)"
-(cd benchmark && go vet . && go test .)
+# `go test ./...` above does not reach it: vet it, run every workload
+# untraced and traced in smoke size — its walk of Engine.Count's stage
+# loop must still compile against internal/exec and still equal Count
+# bit for bit — and run its tests.
+#
+# The tests come last because TestSmokeDriverContract is RED since PR 14
+# and stays red until a benchmark PR guards one division: it needs every
+# traced metric finite, benchmark/traced.go divides the collector's CPU
+# by /cpu/classes/total, the runtime updates both only when a GC cycle
+# ends, and a 300-query smoke phase now allocates ~1.5 MB (27 MB before
+# the query arenas) — no cycle, 0/0. See CHANGES.md, PR 14.
+echo "== benchmark module (vet, smoke, test)"
+(cd benchmark && go vet .)
 bash benchmark/run.sh -smoke > "$tmp/bench_smoke.out" || { cat "$tmp/bench_smoke.out" >&2; exit 1; }
+(cd benchmark && go test .)
 
 echo "OK"

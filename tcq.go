@@ -223,6 +223,7 @@ type DB struct {
 	// with it nil every estimate takes the cold path unchanged.
 	samples *catalog.Catalog
 	cfg     config
+	sims    sync.Pool // per-query clocks between sessions
 
 	mu    sync.Mutex // guards stats
 	stats *histogram.Catalog
@@ -261,29 +262,37 @@ func Open(opts ...Option) *DB {
 }
 
 // session derives a per-query store view. Under a simulated clock the
-// session gets its own Sim seeded from the DB seed and the query seed,
-// so identically-seeded queries are bit-reproducible no matter how many
-// run concurrently; under a real clock the shared wall clock is used
-// (charges are no-ops). finish folds the session's work counters into
-// the DB totals and advances the DB's display clock by the query's
-// elapsed virtual time (a jitter-free, commutative addition — the final
-// reading is independent of completion order).
-func (db *DB) session(querySeed int64) (sess *storage.Store, finish func(elapsed time.Duration)) {
-	var clk vclock.Clock
-	var sim *vclock.Sim
-	if db.cfg.simClock != nil {
-		sim = vclock.NewSim(db.cfg.simSeed*1_000_003+querySeed, db.cfg.jitter)
-		if db.cfg.loadSigma > 0 {
-			sim.SetLoadSigma(db.cfg.loadSigma)
-		}
-		clk = sim
+// session gets its own Sim seeded from the DB seed and the query seed
+// (a recycled one, re-seeded in place), so identically-seeded queries
+// are bit-reproducible no matter how many run concurrently; under a
+// real clock the shared wall clock is used (charges are no-ops) and sim
+// is nil. Every session must be ended with endSession.
+func (db *DB) session(querySeed int64) (sess *storage.Store, sim *vclock.Sim) {
+	if db.cfg.simClock == nil {
+		return db.store.Session(nil), nil
 	}
-	sess = db.store.Session(clk)
-	return sess, func(elapsed time.Duration) {
-		sess.MergeCounters()
-		if sim != nil {
-			db.cfg.simClock.Advance(elapsed)
-		}
+	seed := db.cfg.simSeed*1_000_003 + querySeed
+	if sim, _ = db.sims.Get().(*vclock.Sim); sim != nil {
+		sim.Reseed(seed, db.cfg.jitter)
+	} else {
+		sim = vclock.NewSim(seed, db.cfg.jitter)
+	}
+	if db.cfg.loadSigma > 0 {
+		sim.SetLoadSigma(db.cfg.loadSigma)
+	}
+	return db.store.Session(sim), sim
+}
+
+// endSession folds the session's work counters into the DB totals,
+// releases its scratch memory and its clock — nothing kept from the
+// query may point into either — and advances the DB's display clock by
+// the query's elapsed virtual time (a jitter-free, commutative addition:
+// the final reading is independent of completion order).
+func (db *DB) endSession(sess *storage.Store, sim *vclock.Sim, elapsed time.Duration) {
+	sess.MergeCounters()
+	if sim != nil {
+		db.cfg.simClock.Advance(elapsed)
+		db.sims.Put(sim)
 	}
 }
 
